@@ -4,7 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"bytebrain/internal/datagen"
 	"bytebrain/internal/dedup"
+	"bytebrain/internal/encode"
+	"bytebrain/internal/grouping"
 )
 
 func defaultOpts() *Options {
@@ -87,8 +90,8 @@ func TestEarlyStopTwoLogs(t *testing.T) {
 		uniq("a", "x", "p"),
 		uniq("a", "y", "q"),
 	}
-	st := newPosStats(members)
-	parts := splitNode(members, st, 0.0, defaultOpts(), rand.New(rand.NewSource(1)))
+	cs := codeMembers(members, false)
+	parts := splitNode(cs, newPosStats(cs), 0.0, defaultOpts(), rand.New(rand.NewSource(1)))
 	if len(parts) != 2 || len(parts[0]) != 1 || len(parts[1]) != 1 {
 		t.Errorf("two logs should split into singletons, got %d parts", len(parts))
 	}
@@ -101,8 +104,8 @@ func TestEarlyStopAllDistinct(t *testing.T) {
 		uniq("a", "x3", "p3"),
 		uniq("a", "x4", "p4"),
 	}
-	st := newPosStats(members)
-	parts := splitNode(members, st, 0.0, defaultOpts(), rand.New(rand.NewSource(1)))
+	cs := codeMembers(members, false)
+	parts := splitNode(cs, newPosStats(cs), 0.0, defaultOpts(), rand.New(rand.NewSource(1)))
 	if len(parts) != 4 {
 		t.Errorf("all-distinct unresolved positions should yield singletons, got %d parts", len(parts))
 	}
@@ -142,15 +145,16 @@ func TestClusterOnceSeparatesStructure(t *testing.T) {
 		uniq("close", "sock", "s2"),
 		uniq("close", "sock", "s3"),
 	}
-	parts := clusterOnce(members, 0.0, defaultOpts(), rand.New(rand.NewSource(3)))
+	cs := codeMembers(members, false)
+	parts := clusterOnce(cs, 0.0, defaultOpts(), rand.New(rand.NewSource(3)))
 	if len(parts) < 2 {
 		t.Fatalf("clusterOnce produced %d parts, want >= 2", len(parts))
 	}
 	// No part may mix "open file" with "close sock".
 	for _, p := range parts {
-		first := p[0].Tokens[0]
-		for _, u := range p {
-			if u.Tokens[0] != first {
+		first := members[p[0]].Tokens[0]
+		for _, j := range p {
+			if members[j].Tokens[0] != first {
 				t.Errorf("mixed structures in one cluster: %v", p)
 			}
 		}
@@ -164,8 +168,8 @@ func TestPositionalFallbackSplitsByLowestCardinality(t *testing.T) {
 		uniq("a", "y", "k3"),
 		uniq("a", "y", "k4"),
 	}
-	st := newPosStats(members)
-	parts := positionalFallback(members, st)
+	cs := codeMembers(members, false)
+	parts := positionalFallback(cs, newPosStats(cs))
 	if len(parts) != 2 {
 		t.Fatalf("fallback parts = %d, want 2 (split on position 1, cardinality 2)", len(parts))
 	}
@@ -173,7 +177,7 @@ func TestPositionalFallbackSplitsByLowestCardinality(t *testing.T) {
 		if len(p) != 2 {
 			t.Errorf("unbalanced fallback parts: %d", len(p))
 		}
-		if p[0].Tokens[1] != p[1].Tokens[1] {
+		if members[p[0]].Tokens[1] != members[p[1]].Tokens[1] {
 			t.Error("fallback did not split on the chosen position")
 		}
 	}
@@ -181,8 +185,8 @@ func TestPositionalFallbackSplitsByLowestCardinality(t *testing.T) {
 
 func TestPositionalFallbackNoUnresolved(t *testing.T) {
 	members := []*dedup.Unique{uniq("a", "b")}
-	st := newPosStats(members)
-	if parts := positionalFallback(members, st); len(parts) != 1 {
+	cs := codeMembers(members, false)
+	if parts := positionalFallback(cs, newPosStats(cs)); len(parts) != 1 {
 		t.Errorf("fallback on resolved node should not split, got %d parts", len(parts))
 	}
 }
@@ -240,13 +244,14 @@ func TestBalancedGroupingSpreadsTies(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		members = append(members, uniq("op", string(rune('a'+i))))
 	}
-	a := clusterOnce(members, 0.0, defaultOpts(), rand.New(rand.NewSource(5)))
-	b := clusterOnce(members, 0.0, defaultOpts(), rand.New(rand.NewSource(5)))
+	cs := codeMembers(members, false)
+	a := clusterOnce(cs, 0.0, defaultOpts(), rand.New(rand.NewSource(5)))
+	b := clusterOnce(cs, 0.0, defaultOpts(), rand.New(rand.NewSource(5)))
 	if len(a) != len(b) {
 		t.Error("balanced grouping not deterministic under fixed seed")
 	}
 	o := Options{Seed: 5, NoBalancedGrouping: true}.withDefaults()
-	c := clusterOnce(members, 0.0, &o, rand.New(rand.NewSource(5)))
+	c := clusterOnce(cs, 0.0, &o, rand.New(rand.NewSource(5)))
 	total := 0
 	for _, p := range c {
 		total += len(p)
@@ -254,4 +259,28 @@ func TestBalancedGroupingSpreadsTies(t *testing.T) {
 	if total != len(members) {
 		t.Errorf("NoBalancedGrouping lost members: %d of %d", total, len(members))
 	}
+}
+
+// BenchmarkClusterOnce times one clustering process, dictionary coding
+// included, over the largest initial group of the generated BGL LogHub
+// cut: the root split of its biggest tree.
+func BenchmarkClusterOnce(b *testing.B) {
+	ds, err := datagen.LogHub("BGL", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := New(Options{Seed: 1})
+	dd := dedup.Collapse(p.preprocess(ds.Lines), encode.HashEncoder{})
+	var largest []*dedup.Unique
+	for _, g := range grouping.Split(dd.Uniques, 0) {
+		if len(g.Records) > len(largest) {
+			largest = g.Records
+		}
+	}
+	o := p.Options()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clusterOnce(codeMembers(largest, false), 0, &o, rand.New(rand.NewSource(1)))
+	}
+	b.ReportMetric(float64(len(largest)), "members")
 }

@@ -9,6 +9,24 @@ import (
 	"bytebrain/internal/encode"
 )
 
+// statsOf codes members and returns their statistics, typed evidence
+// included.
+func statsOf(members []*dedup.Unique) *posStats {
+	return newPosStats(codeMembers(members, true))
+}
+
+// similarityTo returns the Eq. 2 similarity of probe to the cluster of
+// members, coding the probe alongside them.
+func similarityTo(members []*dedup.Unique, probe *dedup.Unique, noPositionImportance bool) float64 {
+	cs := codeMembers(append(append([]*dedup.Unique(nil), members...), probe), false)
+	st := emptyStats(cs)
+	for j := range members {
+		st.count(cs, j)
+	}
+	st.weigh(noPositionImportance)
+	return st.similarity(cs.row(len(members)))
+}
+
 func uniq(tokens ...string) *dedup.Unique {
 	return &dedup.Unique{
 		Tokens: tokens,
@@ -38,14 +56,14 @@ func fig5Set2() []*dedup.Unique {
 }
 
 func TestSaturationFig5Set1(t *testing.T) {
-	st := newPosStats(fig5Set1())
+	st := statsOf(fig5Set1())
 	if got := st.saturation(&Options{}); got != 1.0 {
 		t.Errorf("Set 1 saturation = %v, want 1.0 (single unresolved position is a declared variable)", got)
 	}
 }
 
 func TestSaturationFig5Set2Root(t *testing.T) {
-	st := newPosStats(fig5Set2())
+	st := statsOf(fig5Set2())
 	got := st.saturation(&Options{})
 	// f_c = 2/5, f_v = min(1, 1, ln2/ln3) = 0.6309, p_c = 1/4:
 	// s = (0.6309·0.25 + 0.75)·0.4 = 0.3631 — printed as 0.4 in Fig. 5.
@@ -60,7 +78,7 @@ func TestSaturationFig5Set2Root(t *testing.T) {
 
 func TestSaturationFig5Subset46(t *testing.T) {
 	// {4,6}: createUser/queryUser and abc123/def456 vary, status constant.
-	st := newPosStats([]*dedup.Unique{
+	st := statsOf([]*dedup.Unique{
 		uniq("UserService", "createUser", "token", "abc123", "success"),
 		uniq("UserService", "queryUser", "token", "def456", "success"),
 	})
@@ -73,14 +91,14 @@ func TestSaturationFig5Subset46(t *testing.T) {
 }
 
 func TestSaturationSingletonIsOne(t *testing.T) {
-	st := newPosStats([]*dedup.Unique{uniq("UserService", "deleteUser", "token", "xyz789", "failed")})
+	st := statsOf([]*dedup.Unique{uniq("UserService", "deleteUser", "token", "xyz789", "failed")})
 	if got := st.saturation(&Options{}); got != 1.0 {
 		t.Errorf("singleton saturation = %v, want 1.0", got)
 	}
 }
 
 func TestSaturationAllConstantIsOne(t *testing.T) {
-	st := newPosStats([]*dedup.Unique{
+	st := statsOf([]*dedup.Unique{
 		uniq("a", "b"), uniq("a", "b"),
 	})
 	if got := st.saturation(&Options{}); got != 1.0 {
@@ -90,7 +108,7 @@ func TestSaturationAllConstantIsOne(t *testing.T) {
 
 func TestSaturationNoConstantsIsZero(t *testing.T) {
 	// f_c = 0 forces s = 0 regardless of variability.
-	st := newPosStats([]*dedup.Unique{
+	st := statsOf([]*dedup.Unique{
 		uniq("a", "x"), uniq("b", "y"), uniq("a", "z"),
 	})
 	got := st.saturation(&Options{})
@@ -101,7 +119,7 @@ func TestSaturationNoConstantsIsZero(t *testing.T) {
 
 func TestSaturationAblationVariants(t *testing.T) {
 	members := fig5Set2()
-	st := newPosStats(members)
+	st := statsOf(members)
 	base := st.saturation(&Options{})
 
 	noVar := st.saturation(&Options{NoVariableSaturation: true})
@@ -135,7 +153,7 @@ func TestSaturationInUnitInterval(t *testing.T) {
 		for _, o := range []*Options{
 			{}, {NoVariableSaturation: true}, {NoConfidenceFactor: true},
 		} {
-			s := newPosStats(members).saturation(o)
+			s := statsOf(members).saturation(o)
 			if s < 0 || s > 1 {
 				t.Fatalf("saturation %v out of [0,1] (opts %+v)", s, o)
 			}
@@ -145,9 +163,8 @@ func TestSaturationInUnitInterval(t *testing.T) {
 
 func TestSimilarityProperties(t *testing.T) {
 	members := fig5Set2()
-	st := newPosStats(members)
 	for _, u := range members {
-		sim := st.similarity(u.Enc, false)
+		sim := similarityTo(members, u, false)
 		if sim <= 0 || sim > 1 {
 			t.Errorf("member similarity %v out of (0,1]", sim)
 		}
@@ -156,9 +173,9 @@ func TestSimilarityProperties(t *testing.T) {
 	// member but higher than a completely alien log.
 	partial := uniq("UserService", "dropUser", "token", "zzz", "pending")
 	alien := uniq("x", "y", "z", "w", "v")
-	sp := st.similarity(partial.Enc, false)
-	sa := st.similarity(alien.Enc, false)
-	sm := st.similarity(members[0].Enc, false)
+	sp := similarityTo(members, partial, false)
+	sa := similarityTo(members, alien, false)
+	sm := similarityTo(members, members[0], false)
 	if !(sm > sp && sp > sa) {
 		t.Errorf("similarity ordering broken: member %v, partial %v, alien %v", sm, sp, sa)
 	}
@@ -172,27 +189,28 @@ func TestSimilarityPositionImportance(t *testing.T) {
 	// probe agreeing on the stable position must beat a probe agreeing
 	// on the noisy position by a wider margin when importance weighting
 	// is on.
-	st := newPosStats([]*dedup.Unique{
+	members := []*dedup.Unique{
 		uniq("op", "x1"), uniq("op", "x2"), uniq("op", "x3"),
-	})
+	}
 	agreeStable := uniq("op", "zzz")
 	agreeNoisy := uniq("other", "x1")
-	withW := st.similarity(agreeStable.Enc, false) - st.similarity(agreeNoisy.Enc, false)
-	withoutW := st.similarity(agreeStable.Enc, true) - st.similarity(agreeNoisy.Enc, true)
+	withW := similarityTo(members, agreeStable, false) - similarityTo(members, agreeNoisy, false)
+	withoutW := similarityTo(members, agreeStable, true) - similarityTo(members, agreeNoisy, true)
 	if withW <= withoutW {
 		t.Errorf("position importance did not emphasize stable positions: with=%v without=%v", withW, withoutW)
 	}
 }
 
 func TestSimilarityLengthMismatchIsZero(t *testing.T) {
-	st := newPosStats(fig5Set1())
-	if got := st.similarity(uniq("a", "b").Enc, false); got != 0 {
+	st := statsOf(fig5Set1())
+	st.weigh(false)
+	if got := st.similarity(make([]int32, 2)); got != 0 {
 		t.Errorf("similarity across lengths = %v, want 0", got)
 	}
 }
 
 func TestTemplateRendering(t *testing.T) {
-	st := newPosStats(fig5Set2())
+	st := statsOf(fig5Set2())
 	tmpl := st.template()
 	want := []string{"UserService", Wildcard, "token", Wildcard, Wildcard}
 	for i := range want {
@@ -203,7 +221,7 @@ func TestTemplateRendering(t *testing.T) {
 }
 
 func TestUnresolvedPositions(t *testing.T) {
-	st := newPosStats(fig5Set2())
+	st := statsOf(fig5Set2())
 	got := st.unresolvedPositions()
 	want := []int{1, 3, 4}
 	if len(got) != len(want) {
@@ -216,23 +234,106 @@ func TestUnresolvedPositions(t *testing.T) {
 	}
 }
 
-func TestPosStatsAddMatchesBatch(t *testing.T) {
-	members := fig5Set2()
-	batch := newPosStats(members)
-	inc := &posStats{}
-	for _, u := range members {
-		inc.add(u)
-	}
-	if inc.n != batch.n || inc.positions() != batch.positions() {
-		t.Fatal("incremental stats disagree with batch on shape")
-	}
-	for i := 0; i < batch.positions(); i++ {
-		if inc.distinct(i) != batch.distinct(i) {
-			t.Errorf("position %d distinct: inc %d, batch %d", i, inc.distinct(i), batch.distinct(i))
+// TestPosStatsMatchReferenceCount checks the array-coded statistics, for
+// a root coding and for subsets derived from it, against a direct count
+// of token strings per position: the distinct counts, the saturation
+// they imply, and the Eq. 2 similarity of every member, bit for bit.
+func TestPosStatsMatchReferenceCount(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	vocab := []string{"a", "b", "c", "7", "x9", "/p", "d", "e"}
+	for iter := 0; iter < 200; iter++ {
+		n := 1 + r.Intn(24)
+		m := r.Intn(6)
+		members := make([]*dedup.Unique, n)
+		for j := range members {
+			toks := make([]string, m)
+			for i := range toks {
+				toks[i] = vocab[r.Intn(1+r.Intn(len(vocab)))]
+			}
+			members[j] = uniq(toks...)
+			members[j].Count = 1 + r.Intn(4)
+		}
+		root := codeMembers(members, true)
+		var idx []int32
+		for j := range members {
+			if r.Intn(2) == 0 {
+				idx = append(idx, int32(j))
+			}
+		}
+		if len(idx) == 0 {
+			idx = []int32{0}
+		}
+		for _, cs := range []*coding{root, root.subset(idx)} {
+			checkAgainstReference(t, cs, m)
+		}
+		for s, v := range root.remap {
+			if v != -1 {
+				t.Fatalf("subset left remap[%d] = %d", s, v)
+			}
 		}
 	}
-	if inc.saturation(&Options{}) != batch.saturation(&Options{}) {
-		t.Error("incremental and batch saturation differ")
+}
+
+func checkAgainstReference(t *testing.T, cs *coding, m int) {
+	t.Helper()
+	ref := make([]map[string]int, m)
+	want := &posStats{distinct: make([]int32, m), typed: make([]int32, m), rep: cs.members[0].Tokens}
+	for i := range ref {
+		ref[i] = map[string]int{}
+	}
+	for _, u := range cs.members {
+		for i, tok := range u.Tokens {
+			ref[i][tok]++
+			if typedToken(tok) {
+				want.typed[i]++
+			}
+		}
+		want.n++
+		want.weight += u.Count
+	}
+	for i := range ref {
+		want.distinct[i] = int32(len(ref[i]))
+	}
+	st := newPosStats(cs)
+	for i := range ref {
+		if st.distinct[i] != want.distinct[i] || st.typed[i] != want.typed[i] {
+			t.Fatalf("position %d: distinct %d typed %d, reference %d %d",
+				i, st.distinct[i], st.typed[i], want.distinct[i], want.typed[i])
+		}
+	}
+	if st.n != want.n || st.weight != want.weight {
+		t.Fatalf("n/weight %d/%d, reference %d/%d", st.n, st.weight, want.n, want.weight)
+	}
+	for _, o := range []*Options{{}, {SemanticHints: true}, {NoConfidenceFactor: true}} {
+		if got, exp := st.saturation(o), want.saturation(o); got != exp {
+			t.Fatalf("saturation %v, reference %v (opts %+v)", got, exp, o)
+		}
+	}
+	for _, noPos := range []bool{false, true} {
+		st.weigh(noPos)
+		for j, u := range cs.members {
+			var num, den float64
+			for i, tok := range u.Tokens {
+				w := 1.0
+				if !noPos {
+					d := float64(len(ref[i])) - 1
+					if d < 0.5 {
+						d = 0.5
+					}
+					w = 1 / d
+				}
+				f := float64(ref[i][tok]) * (1.0 / float64(len(cs.members)))
+				num += w * f
+				den += w
+			}
+			exp := 0.0
+			if den != 0 {
+				exp = num / den
+			}
+			if got := st.similarity(cs.row(j)); got != exp {
+				t.Fatalf("member %d similarity %v, reference %v", j, got, exp)
+			}
+		}
 	}
 }
 
@@ -247,7 +348,7 @@ func TestSemanticHintsDeclareTypedPositions(t *testing.T) {
 		{Tokens: []string{"req", "took", "93ms"}, Enc: encode.HashEncoder{}.Encode(nil, []string{"req", "took", "93ms"}), Count: 10},
 		{Tokens: []string{"req", "took", "1ms"}, Enc: encode.HashEncoder{}.Encode(nil, []string{"req", "took", "1ms"}), Count: 10},
 	}
-	st := newPosStats(members)
+	st := statsOf(members)
 	plain := st.saturation(&Options{})
 	hinted := st.saturation(&Options{SemanticHints: true})
 	if hinted != 1.0 {
@@ -263,7 +364,7 @@ func TestSemanticHintsIgnoreWordPositions(t *testing.T) {
 	members := []*dedup.Unique{
 		uniq("op", "start"), uniq("op", "stop"), uniq("op", "start"),
 	}
-	st := newPosStats(members)
+	st := statsOf(members)
 	a := st.saturation(&Options{})
 	b := st.saturation(&Options{SemanticHints: true})
 	if a != b {
@@ -276,7 +377,7 @@ func TestFig5UnaffectedBySemanticHints(t *testing.T) {
 	// legitimately resolve them earlier, but the DEFAULT path must keep
 	// the paper's exact numbers (guarded elsewhere); here we pin that
 	// hints are off by default.
-	st := newPosStats(fig5Set2())
+	st := statsOf(fig5Set2())
 	if got := st.saturation(nil); got >= 0.4 {
 		t.Errorf("default saturation drifted: %v", got)
 	}

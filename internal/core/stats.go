@@ -2,28 +2,152 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"bytebrain/internal/dedup"
 )
 
-// posStats summarizes per-position token distributions for a set of logs of
-// equal token count. It backs both the positional-similarity distance
-// (Eq. 2) and the saturation score (Eq. 3).
+// coding is one node's members with every position dictionary-coded:
+// member j's token at position i is the slot codes[j*m+i], and members
+// carrying the same token at the same position share a slot. Per-position
+// token counts are then flat arrays indexed by slot, and only the root of
+// a tree hashes token codes: every node below recodes from its parent.
+type coding struct {
+	members []*dedup.Unique
+	m       int
+	codes   []int32
+	// slots is the number of distinct (position, token) pairs.
+	slots int
+	// typed[s] reports whether slot s holds a typed token (see
+	// typedToken); nil unless SemanticHints asked for the evidence.
+	typed []bool
+	// remap is scratch for subset, all -1 between calls. Every coding
+	// derived from one root shares it: a subset never has more slots
+	// than the coding it came from.
+	remap []int32
+}
+
+// codeMembers dictionary-codes members (all of identical length) from
+// their token encodings, one position at a time, through an
+// open-addressing table keyed by the code. typed records the
+// SemanticHints evidence.
+func codeMembers(members []*dedup.Unique, typed bool) *coding {
+	n := len(members)
+	cs := &coding{members: members}
+	if n == 0 {
+		return cs
+	}
+	m := len(members[0].Enc)
+	cs.m = m
+	cs.codes = make([]int32, n*m)
+	// A power-of-two table at least twice the member count keeps probe
+	// runs short; codes are multiplied by a 64-bit odd constant and the
+	// top bits index the table, which spreads ordinal codes as well as
+	// hashes.
+	bitsLen := bits.Len(uint(2 * n))
+	size, shift := 1<<bitsLen, 64-bitsLen
+	keys := make([]uint64, size)
+	slot := make([]int32, size)
+	for h := range slot {
+		slot[h] = -1
+	}
+	used := make([]int, 0, n)
+	next := int32(0)
+	for i := 0; i < m; i++ {
+		for j, u := range members {
+			code := u.Enc[i]
+			h := int((code * 0x9e3779b97f4a7c15) >> shift)
+			for slot[h] >= 0 && keys[h] != code {
+				h = (h + 1) & (size - 1)
+			}
+			if slot[h] < 0 {
+				keys[h], slot[h] = code, next
+				next++
+				used = append(used, h)
+				if typed {
+					cs.typed = append(cs.typed, typedToken(u.Tokens[i]))
+				}
+			}
+			cs.codes[j*m+i] = slot[h]
+		}
+		for _, h := range used {
+			slot[h] = -1
+		}
+		used = used[:0]
+	}
+	cs.slots = int(next)
+	cs.remap = make([]int32, cs.slots)
+	for s := range cs.remap {
+		cs.remap[s] = -1
+	}
+	return cs
+}
+
+// row returns member j's slots.
+func (cs *coding) row(j int) []int32 { return cs.codes[j*cs.m : (j+1)*cs.m] }
+
+// subset codes the members at the given indexes into cs, in that order,
+// renumbering the slots they use densely.
+func (cs *coding) subset(idx []int32) *coding {
+	m := cs.m
+	sub := &coding{
+		members: make([]*dedup.Unique, len(idx)),
+		m:       m,
+		codes:   make([]int32, len(idx)*m),
+		remap:   cs.remap,
+	}
+	next := int32(0)
+	for k, j := range idx {
+		sub.members[k] = cs.members[j]
+		dst := sub.codes[k*m : (k+1)*m]
+		for i, s := range cs.row(int(j)) {
+			t := cs.remap[s]
+			if t < 0 {
+				t = next
+				next++
+				cs.remap[s] = t
+				if cs.typed != nil {
+					sub.typed = append(sub.typed, cs.typed[s])
+				}
+			}
+			dst[i] = t
+		}
+	}
+	sub.slots = int(next)
+	for _, j := range idx {
+		for _, s := range cs.row(int(j)) {
+			cs.remap[s] = -1
+		}
+	}
+	return sub
+}
+
+// posStats summarizes per-position token distributions for a set of logs
+// of equal token count, drawn from one coding. It backs both the
+// positional-similarity distance (Eq. 2) and the saturation score (Eq. 3).
 type posStats struct {
-	// counts[i] maps token code → number of member logs carrying it at
-	// position i. Members are unique (deduplicated) logs; each counts 1.
-	counts []map[uint64]int
-	// rep[i] is the token text at position i of the first member, used
-	// to render constant positions in template text.
-	rep []string
+	// counts[s] is the number of member logs carrying slot s. Members
+	// are unique (deduplicated) logs; each counts 1.
+	counts []int32
+	// distinct[i] is n_i, the number of distinct tokens at position i.
+	distinct []int32
 	// typed[i] counts member tokens at position i that look like typed
-	// values (digit-bearing, hex-like, path-like) — the SemanticHints
-	// evidence.
-	typed []int
+	// values (digit-bearing, path-like) — the SemanticHints evidence.
+	// Nil when the coding carries no typed flags.
+	typed []int32
+	// rep is the token text of the first member, used to render
+	// constant positions in template text.
+	rep []string
 	// n is the number of member logs.
 	n int
 	// weight is the duplicate-weighted member count (Σ Count).
 	weight int
+	// w[i] and wsum are the Eq. 2 position weights and their sum, and
+	// freq[s] = counts[s]/n the relative frequency of slot s, all set by
+	// weigh once the members are counted.
+	w    []float64
+	wsum float64
+	freq []float64
 }
 
 // typedToken reports whether a token looks like a typed value rather than
@@ -40,107 +164,129 @@ func typedToken(s string) bool {
 	return false
 }
 
-// newPosStats computes statistics over members (all of identical length).
-func newPosStats(members []*dedup.Unique) *posStats {
-	if len(members) == 0 {
-		return &posStats{}
-	}
-	m := len(members[0].Tokens)
+// emptyStats returns zeroed statistics shaped for cs.
+func emptyStats(cs *coding) *posStats {
 	st := &posStats{
-		counts: make([]map[uint64]int, m),
-		rep:    members[0].Tokens,
-		typed:  make([]int, m),
-		n:      len(members),
+		counts:   make([]int32, cs.slots),
+		distinct: make([]int32, cs.m),
 	}
-	for i := 0; i < m; i++ {
-		st.counts[i] = make(map[uint64]int, 4)
-	}
-	for _, u := range members {
-		st.weight += u.Count
-		for i, code := range u.Enc {
-			st.counts[i][code]++
-			if typedToken(u.Tokens[i]) {
-				st.typed[i]++
-			}
-		}
+	if cs.typed != nil {
+		st.typed = make([]int32, cs.m)
 	}
 	return st
 }
 
-// positions returns the token count m.
-func (st *posStats) positions() int { return len(st.counts) }
-
-// distinct returns n_i, the number of distinct tokens at position i.
-func (st *posStats) distinct(i int) int { return len(st.counts[i]) }
-
-// constants returns m_c, the number of positions where all members agree.
-func (st *posStats) constants() int {
-	mc := 0
-	for i := range st.counts {
-		if len(st.counts[i]) == 1 {
-			mc++
-		}
+// newPosStats computes statistics over every member of cs.
+func newPosStats(cs *coding) *posStats {
+	st := emptyStats(cs)
+	for j := range cs.members {
+		st.count(cs, j)
 	}
-	return mc
+	return st
 }
 
-// similarity computes the positional similarity of Eq. 2 between a log and
-// the cluster summarized by st:
-//
-//	sim(L,C) = Σ w_i · f_i(L,C) / Σ w_i
-//
-// where f_i is the relative frequency of L's token at position i among the
-// cluster members and w_i = 1/(n_i − 1) down-weights high-variability
-// positions (capped at 2 for constant positions, where the paper's formula
-// divides by zero). Values lie in [0,1]; the paper's "distance" is
-// 1 − similarity, and logs are assigned to the most similar cluster.
-func (st *posStats) similarity(enc []uint64, noPositionImportance bool) float64 {
-	if st.n == 0 || len(enc) != len(st.counts) {
-		return 0
+// count incorporates member j of cs.
+func (st *posStats) count(cs *coding, j int) {
+	u := cs.members[j]
+	if st.n == 0 {
+		st.rep = u.Tokens
 	}
-	var num, den float64
-	inv := 1.0 / float64(st.n)
-	for i, code := range enc {
-		var w float64
-		if noPositionImportance {
-			w = 1
-		} else {
-			ni := len(st.counts[i])
-			d := float64(ni) - 1
+	row := cs.row(j)
+	distinct := st.distinct[:len(row)]
+	for i, s := range row {
+		if st.counts[s] == 0 {
+			distinct[i]++
+		}
+		st.counts[s]++
+	}
+	if st.typed != nil {
+		for i, s := range row {
+			if cs.typed[s] {
+				st.typed[i]++
+			}
+		}
+	}
+	st.n++
+	st.weight += u.Count
+}
+
+// uncount removes member j of cs, counted earlier. rep keeps the tokens
+// of whichever member was counted first; only node statistics, which
+// never lose members, render it.
+func (st *posStats) uncount(cs *coding, j int) {
+	row := cs.row(j)
+	distinct := st.distinct[:len(row)]
+	for i, s := range row {
+		st.counts[s]--
+		if st.counts[s] == 0 {
+			distinct[i]--
+		}
+	}
+	if st.typed != nil {
+		for i, s := range row {
+			if cs.typed[s] {
+				st.typed[i]--
+			}
+		}
+	}
+	st.n--
+	st.weight -= cs.members[j].Count
+}
+
+// weigh sets the Eq. 2 position weights from the distinct counts:
+// w_i = 1/(n_i − 1), capped at 2 for constant positions, where the
+// paper's formula divides by zero; w_i = 1 for the NoPositionImportance
+// ablation.
+func (st *posStats) weigh(noPositionImportance bool) {
+	if st.w == nil {
+		st.w = make([]float64, len(st.distinct))
+		st.freq = make([]float64, len(st.counts))
+	}
+	st.wsum = 0
+	for i, nu := range st.distinct {
+		w := 1.0
+		if !noPositionImportance {
+			d := float64(nu) - 1
 			if d < 0.5 {
 				d = 0.5
 			}
 			w = 1 / d
 		}
-		f := float64(st.counts[i][code]) * inv
-		num += w * f
-		den += w
+		st.w[i] = w
+		st.wsum += w
 	}
-	if den == 0 {
-		return 0
+	inv := 1.0 / float64(st.n)
+	for s, c := range st.counts {
+		st.freq[s] = float64(c) * inv
 	}
-	return num / den
 }
 
-// add incorporates one member into the statistics.
-func (st *posStats) add(u *dedup.Unique) {
-	if st.counts == nil {
-		m := len(u.Tokens)
-		st.counts = make([]map[uint64]int, m)
-		for i := range st.counts {
-			st.counts[i] = make(map[uint64]int, 4)
-		}
-		st.rep = u.Tokens
-		st.typed = make([]int, m)
+// positions returns the token count m.
+func (st *posStats) positions() int { return len(st.distinct) }
+
+// similarity computes the positional similarity of Eq. 2 between a log,
+// given as its slots in the coding st counts, and the cluster st
+// summarizes:
+//
+//	sim(L,C) = Σ w_i · f_i(L,C) / Σ w_i
+//
+// where f_i is the relative frequency of L's token at position i among
+// the cluster members and w_i the weight set by weigh. Values lie in
+// [0,1]; the paper's "distance" is 1 − similarity, and logs are assigned
+// to the most similar cluster.
+func (st *posStats) similarity(row []int32) float64 {
+	if st.n == 0 || len(row) != len(st.w) {
+		return 0
 	}
-	for i, code := range u.Enc {
-		st.counts[i][code]++
-		if typedToken(u.Tokens[i]) {
-			st.typed[i]++
-		}
+	var num float64
+	w := st.w[:len(row)]
+	for i, s := range row {
+		num += w[i] * st.freq[s]
 	}
-	st.n++
-	st.weight += u.Count
+	if st.wsum == 0 {
+		return 0
+	}
+	return num / st.wsum
 }
 
 // Variable declaration thresholds: a position whose distinct-token count
@@ -167,7 +313,7 @@ const (
 // typed values qualifies with only a quarter of the distinct-count
 // evidence.
 func (st *posStats) declaredVariable(i int, semantic bool) bool {
-	nu := len(st.counts[i])
+	nu := int(st.distinct[i])
 	if semantic && nu > 1 && st.typed != nil &&
 		float64(st.typed[i]) >= 0.95*float64(st.n) &&
 		nu*4 >= declareMinDistinct {
@@ -230,8 +376,8 @@ func (st *posStats) saturation(o *Options) float64 {
 	declared := 0
 	fullyDistinct := 0
 	ambiguous := 0
-	for i := range st.counts {
-		nu := len(st.counts[i])
+	for i, d := range st.distinct {
+		nu := int(d)
 		switch {
 		case nu == 1:
 			constants++
@@ -261,8 +407,8 @@ func (st *posStats) saturation(o *Options) float64 {
 	// variable, the same six values over six hundred logs are categorical.
 	minFv := math.Inf(1)
 	logN := math.Log(float64(st.weight))
-	for i := range st.counts {
-		nu := len(st.counts[i])
+	for i, d := range st.distinct {
+		nu := int(d)
 		if nu == 1 || st.declaredVariable(i, semantic) {
 			continue
 		}
@@ -292,8 +438,8 @@ func (st *posStats) saturation(o *Options) float64 {
 // all others become the wildcard.
 func (st *posStats) template() []string {
 	t := make([]string, st.positions())
-	for i := range st.counts {
-		if len(st.counts[i]) == 1 {
+	for i, nu := range st.distinct {
+		if nu == 1 {
 			t[i] = st.rep[i]
 		} else {
 			t[i] = Wildcard
@@ -306,8 +452,8 @@ func (st *posStats) template() []string {
 // token.
 func (st *posStats) unresolvedPositions() []int {
 	var idx []int
-	for i := range st.counts {
-		if len(st.counts[i]) > 1 {
+	for i, nu := range st.distinct {
+		if nu > 1 {
 			idx = append(idx, i)
 		}
 	}

@@ -99,15 +99,6 @@ func TestIncreasesDuplication(t *testing.T) {
 	}
 }
 
-func BenchmarkDefaultReplace(b *testing.B) {
-	r := Default()
-	line := "081109 20:35:18 INFO dfs.DataNode: Receiving block src: /10.250.19.102:54106 dest: /10.250.19.102:50010 id 550e8400-e29b-41d4-a716-446655440000"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Replace(line)
-	}
-}
-
 func TestDigitPrefilterSkipsCleanLines(t *testing.T) {
 	r := Default()
 	// No digits → returned verbatim (prefilter path).
@@ -115,18 +106,16 @@ func TestDigitPrefilterSkipsCleanLines(t *testing.T) {
 	if got := r.Replace(in); got != in {
 		t.Errorf("digit-free line altered: %q", got)
 	}
-	// Custom rules disable the prefilter: letter-only patterns must
-	// still fire.
+	// Custom rules are not gated: letter-only patterns must still fire.
 	r2 := Default().Add("word", `\bsecret\b`)
 	if got := r2.Replace("the secret word"); got != "the "+Wildcard+" word" {
 		t.Errorf("custom rule suppressed by prefilter: %q", got)
 	}
 }
 
-// TestRequiredBytePrefilterParity: the per-rule required-byte prefilter
-// must never change replacement output — for lines with and without the
-// gating bytes, the output must equal applying every rule's regex
-// unconditionally in order.
+// TestRequiredBytePrefilterParity: for lines with and without the bytes
+// each pattern needs (':' '-' '.'), the built-in scanners' output must
+// equal applying every rule's regex unconditionally in order.
 func TestRequiredBytePrefilterParity(t *testing.T) {
 	r := Default()
 	lines := []string{
@@ -149,6 +138,27 @@ func TestRequiredBytePrefilterParity(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("Replace(%q) = %q, want %q", line, got, want)
+		}
+	}
+}
+
+// TestCustomRuleLeavesBuiltinsGated: adding a custom rule must not change
+// what the built-in rules replace. The digit gate applies to the built-in
+// rules on every replacer that holds them, and never to custom rules.
+func TestCustomRuleLeavesBuiltinsGated(t *testing.T) {
+	digest := "checksum deadbeefdeadbeefdeadbeefdeadbeef ok"
+	withCustom := Default().Add("custom", `zzz\d+`)
+	if got := withCustom.Replace(digest); got != digest {
+		t.Errorf("Default().Add(custom).Replace(%q) = %q, want it unchanged like Default()", digest, got)
+	}
+	if got := withCustom.Replace("id zzz42 at 10.0.0.1"); got != "id <*> at <*>" {
+		t.Errorf("custom and built-in rules together: %q", got)
+	}
+
+	fromRules := NewReplacer(DefaultRules()...)
+	for _, line := range append([]string{digest, "the secret word"}, scanBoundaryCases...) {
+		if got, want := fromRules.Replace(line), Default().Replace(line); got != want {
+			t.Errorf("NewReplacer(DefaultRules()...).Replace(%q) = %q, Default() gives %q", line, got, want)
 		}
 	}
 }
