@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -131,6 +132,12 @@ func readTrainDigests(t *testing.T) map[string]string {
 // every assignment, over every generated dataset and each option set that
 // changes how clustering reads its statistics.
 func TestTrainDigestGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" && !*updateTrainDigest {
+		// The compiler fuses x*y + z into one rounding on arm64 and
+		// other FMA targets, so saturations may differ in the last bit
+		// from the amd64 build the golden was generated on.
+		t.Skip("train digests are pinned for amd64")
+	}
 	keys, inputs := trainDigestInputs(t)
 	var want map[string]string
 	if !*updateTrainDigest {
