@@ -294,15 +294,19 @@ func BenchmarkIngestAllocs(b *testing.B) {
 	b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "logs/s")
 }
 
-// BenchmarkShardedIngest measures raw append throughput into a sharded
-// topic store with queue→shard affinity — the write-side counterpart of
-// BenchmarkConcurrentIngest, which plateaus on the single store mutex.
-// A fixed worker pool appends in parallel; with shards=1 every worker
-// contends on one mutex, with more shards each mutex serves
-// workers/shards writers, so throughput should scale with shard count on
-// a multi-core runner (~2x or better at 4 shards vs 1).
-func BenchmarkShardedIngest(b *testing.B) {
+// BenchmarkShardedIngestBatch measures raw append throughput into a
+// sharded topic store with queue→shard affinity — the write-side
+// counterpart of BenchmarkConcurrentIngest, which plateaus on the single
+// store mutex. A fixed worker pool appends 256-record batches in
+// parallel, each worker to its pinned shard via AppendShardBatch; with
+// shards=1 every worker contends on one mutex, with more shards each
+// mutex serves workers/shards writers, so throughput should scale with
+// shard count on a multi-core runner. One benchmark op is one RECORD (a
+// batch lands every 256 iterations), so the store holds exactly b.N
+// records.
+func BenchmarkShardedIngestBatch(b *testing.B) {
 	recs := segmentBenchRecords(b, "Zookeeper")
+	const batchSize = 256
 	// At least 4 workers even on small runners so the shards=1 case is
 	// genuinely contended; capped at 8 so the comparison stays stable on
 	// very wide machines.
@@ -318,60 +322,6 @@ func BenchmarkShardedIngest(b *testing.B) {
 			if shards > workers {
 				// With fewer writers than shards the run would silently
 				// measure only `workers` shards under an 8-shard label.
-				b.Skipf("only %d workers; a %d-shard run would not use them all", workers, shards)
-			}
-			store, err := logstore.OpenSharded("bench", logstore.ShardConfig{Shards: shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer store.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				iters := b.N / workers
-				if w < b.N%workers {
-					iters++
-				}
-				wg.Add(1)
-				go func(w, iters int) {
-					defer wg.Done()
-					shard := w % shards
-					for i := 0; i < iters; i++ {
-						r := recs[i%len(recs)]
-						if _, err := store.AppendShard(shard, r.Time, r.Raw, r.TemplateID); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(w, iters)
-			}
-			wg.Wait()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "logs/s")
-		})
-	}
-}
-
-// BenchmarkShardedIngestBatch is BenchmarkShardedIngest through the
-// group-commit path: each worker appends 256-record batches to its
-// pinned shard via AppendShardBatch, so a batch pays one store lock and
-// one offset check instead of 256. One benchmark op is one RECORD (a
-// batch lands every 256 iterations), so ns/op and logs/s compare
-// directly against the per-record benchmark above at the same -benchtime
-// count — both store exactly b.N records.
-func BenchmarkShardedIngestBatch(b *testing.B) {
-	recs := segmentBenchRecords(b, "Zookeeper")
-	const batchSize = 256
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		workers = 4
-	}
-	if workers > 8 {
-		workers = 8
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			if shards > workers {
 				b.Skipf("only %d workers; a %d-shard run would not use them all", workers, shards)
 			}
 			store, err := logstore.OpenSharded("bench", logstore.ShardConfig{Shards: shards})
@@ -766,7 +716,8 @@ func BenchmarkSegmentDecode(b *testing.B) {
 }
 
 // BenchmarkCompactingIngest measures append throughput through the
-// hybrid store while the background compactor seals segments.
+// hybrid store, one record per AppendBatch call, while the background
+// compactor seals segments.
 func BenchmarkCompactingIngest(b *testing.B) {
 	recs := segmentBenchRecords(b, "Zookeeper")
 	store, err := logstore.OpenCompacting("bench", logstore.CompactConfig{
@@ -776,11 +727,13 @@ func BenchmarkCompactingIngest(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer store.Close()
+	one := make([]logstore.BatchRecord, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := recs[i%len(recs)]
-		if _, err := store.Append(r.Time, r.Raw, r.TemplateID); err != nil {
+		one[0] = logstore.BatchRecord{Raw: r.Raw, TemplateID: r.TemplateID}
+		if _, err := store.AppendBatch(r.Time, one); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -800,7 +753,7 @@ func BenchmarkCompactingByTemplate(b *testing.B) {
 	}
 	defer store.Close()
 	for _, r := range recs {
-		if _, err := store.Append(r.Time, r.Raw, r.TemplateID); err != nil {
+		if _, err := store.AppendBatch(r.Time, []logstore.BatchRecord{{Raw: r.Raw, TemplateID: r.TemplateID}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -811,7 +764,7 @@ func BenchmarkCompactingByTemplate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := store.ByTemplate(uint64(1 + i%5)); len(got) == 0 {
+		if got := store.ByTemplate(logstore.TimeRange{}, uint64(1+i%5)); len(got) == 0 {
 			b.Fatal("no offsets")
 		}
 	}

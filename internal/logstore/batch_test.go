@@ -2,7 +2,6 @@ package logstore
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -21,13 +20,6 @@ type batchCase struct {
 func batchCases() []batchCase {
 	return []batchCase{
 		{"topic", func(t *testing.T, dir string) Store { return NewStore("t") }, false},
-		{"disk", func(t *testing.T, dir string) Store {
-			s, err := OpenDiskTopic(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}, true},
 		// Hot-only: the seal threshold is never reached.
 		{"compacting-hot", func(t *testing.T, dir string) Store {
 			s, err := OpenCompacting("t", CompactConfig{Dir: dir, SegmentBytes: 1 << 30})
@@ -44,6 +36,7 @@ func batchCases() []batchCase {
 			}
 			return s
 		}, true},
+		// A data dir alone: compacting shards at the default block size.
 		{"sharded", func(t *testing.T, dir string) Store {
 			s, err := OpenSharded("t", ShardConfig{Shards: 3, Dir: dir})
 			if err != nil {
@@ -83,6 +76,18 @@ func batchTestRecords() ([][]BatchRecord, []time.Time) {
 	return batches, times
 }
 
+// appendOne writes one record as a one-record batch and returns its
+// offset.
+func appendOne(s Store, ts time.Time, raw string, templateID uint64) (int64, error) {
+	return s.AppendBatch(ts, []BatchRecord{{Raw: raw, TemplateID: templateID}})
+}
+
+// appendShardOne writes one record to a pinned shard as a one-record
+// batch and returns its global offset.
+func appendShardOne(s *ShardedStore, shard int, ts time.Time, raw string, templateID uint64) (int64, error) {
+	return s.AppendShardBatch(shard, ts, []BatchRecord{{Raw: raw, TemplateID: templateID}})
+}
+
 func collectScan(s Store) []Record {
 	var out []Record
 	s.Scan(0, -1, TimeRange{}, func(r Record) bool {
@@ -95,18 +100,18 @@ func collectScan(s Store) []Record {
 func diffStores(t *testing.T, label string, one, batch Store) {
 	t.Helper()
 	if one.Len() != batch.Len() {
-		t.Fatalf("%s: Len: per-record %d, batch %d", label, one.Len(), batch.Len())
+		t.Fatalf("%s: Len: one-record batches %d, whole batches %d", label, one.Len(), batch.Len())
 	}
 	if one.Bytes() != batch.Bytes() {
-		t.Fatalf("%s: Bytes: per-record %d, batch %d", label, one.Bytes(), batch.Bytes())
+		t.Fatalf("%s: Bytes: one-record batches %d, whole batches %d", label, one.Bytes(), batch.Bytes())
 	}
 	a, b := collectScan(one), collectScan(batch)
 	if len(a) != len(b) {
-		t.Fatalf("%s: Scan counts: per-record %d, batch %d", label, len(a), len(b))
+		t.Fatalf("%s: Scan counts: one-record batches %d, whole batches %d", label, len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("%s: Scan record %d: per-record %+v, batch %+v", label, i, a[i], b[i])
+			t.Fatalf("%s: Scan record %d: one-record batches %+v, whole batches %+v", label, i, a[i], b[i])
 		}
 	}
 	ga, gb := one.GroupedCounts(5, TimeRange{}), batch.GroupedCounts(5, TimeRange{})
@@ -116,7 +121,7 @@ func diffStores(t *testing.T, label string, one, batch Store) {
 	for id, g := range ga {
 		h, ok := gb[id]
 		if !ok || g.Count != h.Count || len(g.Samples) != len(h.Samples) {
-			t.Fatalf("%s: GroupedCounts[%d]: per-record %+v, batch %+v", label, id, g, h)
+			t.Fatalf("%s: GroupedCounts[%d]: one-record batches %+v, whole batches %+v", label, id, g, h)
 		}
 		for i := range g.Samples {
 			if g.Samples[i] != h.Samples[i] {
@@ -124,15 +129,15 @@ func diffStores(t *testing.T, label string, one, batch Store) {
 			}
 		}
 	}
-	if sa, sb := one.Search("finished"), batch.Search("finished"); len(sa) != len(sb) {
+	if sa, sb := one.Search("finished", TimeRange{}), batch.Search("finished", TimeRange{}); len(sa) != len(sb) {
 		t.Fatalf("%s: Search: %d vs %d hits", label, len(sa), len(sb))
 	}
 }
 
-// TestAppendBatchEquivalence is the store-equivalence satellite: for
-// every store implementation, AppendBatch must produce exactly the
-// offsets, scan results, grouped counts, and (for persistent layouts)
-// post-recovery state that the equivalent sequence of Append calls does.
+// TestAppendBatchEquivalence: for every store layout, whole batches must
+// produce exactly the offsets, scan results, grouped counts, and (for
+// persistent layouts) post-recovery state that the same records written
+// as one-record batches do.
 func TestAppendBatchEquivalence(t *testing.T) {
 	for _, tc := range batchCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,7 +148,7 @@ func TestAppendBatchEquivalence(t *testing.T) {
 			for bi, recs := range batches {
 				var wantFirst int64 = -1
 				for _, r := range recs {
-					off, err := one.Append(times[bi], r.Raw, r.TemplateID)
+					off, err := one.AppendBatch(times[bi], []BatchRecord{r})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -156,7 +161,7 @@ func TestAppendBatchEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				if len(recs) > 0 && got != wantFirst {
-					t.Fatalf("batch %d: AppendBatch first offset %d, Append loop %d", bi, got, wantFirst)
+					t.Fatalf("batch %d: whole-batch first offset %d, one-record batches %d", bi, got, wantFirst)
 				}
 			}
 			if c, ok := one.(Compactor); ok {
@@ -251,50 +256,5 @@ func TestShardedAppendShardBatch(t *testing.T) {
 	}
 	if _, err := s.AppendShardBatch(-1, ts(0), recs); err == nil {
 		t.Fatal("negative shard accepted")
-	}
-}
-
-// TestDiskAppendBatchRotatesMidBatch drives one batch across the segment
-// size limit and verifies rotation happened mid-batch and every record
-// survives recovery.
-func TestDiskAppendBatchRotatesMidBatch(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenDiskTopic(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.maxSeg = 512 // tiny rotation threshold
-	const n = 64
-	recs := make([]BatchRecord, n)
-	for i := range recs {
-		recs[i] = BatchRecord{Raw: fmt.Sprintf("record %03d with some padding payload", i), TemplateID: uint64(i % 3)}
-	}
-	first, err := s.AppendBatch(ts(0), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != 0 {
-		t.Fatalf("first offset %d, want 0", first)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := filepath.Glob(filepath.Join(dir, segmentPrefix+"*"+segmentSuffix))
-	if err != nil || len(segs) < 2 {
-		t.Fatalf("segment files = %v (%v); want rotation mid-batch", segs, err)
-	}
-	s2, err := OpenDiskTopic(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Len() != n {
-		t.Fatalf("recovered %d records, want %d", s2.Len(), n)
-	}
-	for i := int64(0); i < n; i++ {
-		r, err := s2.Get(i)
-		if err != nil || r.Raw != recs[i].Raw {
-			t.Fatalf("Get(%d) = %+v, %v", i, r, err)
-		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,7 +18,7 @@ func fillCompacting(t *testing.T, s *CompactingStore, n, start int) {
 	for i := start; i < start+n; i++ {
 		raw := fmt.Sprintf("worker %d finished job job-%d in 12ms", i%7, i)
 		tmpl := uint64(1 + i%3)
-		off, err := s.Append(ts(i), raw, tmpl)
+		off, err := appendOne(s, ts(i), raw, tmpl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +82,7 @@ func TestCompactingStoreRoundTrip(t *testing.T) {
 			}
 
 			// Template query: exact counts and ascending offsets.
-			offs := s.ByTemplate(2)
+			offs := s.ByTemplate(TimeRange{}, 2)
 			if len(offs) != 167 {
 				t.Fatalf("ByTemplate(2) = %d offsets", len(offs))
 			}
@@ -96,7 +97,7 @@ func TestCompactingStoreRoundTrip(t *testing.T) {
 			}
 
 			// Token search across sealed + hot.
-			hits := s.Search("job-123")
+			hits := s.Search("job-123", TimeRange{})
 			if len(hits) != 1 || hits[0] != 123 {
 				t.Fatalf("Search(job-123) = %v", hits)
 			}
@@ -123,7 +124,7 @@ func TestCompactingTemplatePushdown(t *testing.T) {
 	for seg := 0; seg < 3; seg++ {
 		tmpl := uint64(10 * (seg + 1))
 		for i := 0; i < 200; i++ {
-			if _, err := s.Append(ts(off), fmt.Sprintf("segment %d line %d", seg, i), tmpl); err != nil {
+			if _, err := appendOne(s, ts(off), fmt.Sprintf("segment %d line %d", seg, i), tmpl); err != nil {
 				t.Fatal(err)
 			}
 			off++
@@ -137,7 +138,7 @@ func TestCompactingTemplatePushdown(t *testing.T) {
 		t.Fatalf("setup: %+v", st)
 	}
 
-	offs := s.ByTemplate(20)
+	offs := s.ByTemplate(TimeRange{}, 20)
 	if len(offs) != 200 || offs[0] != 200 {
 		t.Fatalf("ByTemplate(20): %d offsets starting %d", len(offs), offs[0])
 	}
@@ -147,7 +148,7 @@ func TestCompactingTemplatePushdown(t *testing.T) {
 	}
 
 	// Absent template: zero additional reads.
-	if offs := s.ByTemplate(77); len(offs) != 0 {
+	if offs := s.ByTemplate(TimeRange{}, 77); len(offs) != 0 {
 		t.Fatalf("ByTemplate(77) = %v", offs)
 	}
 	if st := s.SegmentStats(); st.BlockReads != 1 {
@@ -199,9 +200,9 @@ func TestCompactingReopen(t *testing.T) {
 		t.Fatalf("Get(399) = %+v, %v", r, err)
 	}
 	// Appends continue with dense offsets.
-	off, err := s2.Append(ts(400), "after restart", 9)
+	off, err := appendOne(s2, ts(400), "after restart", 9)
 	if err != nil || off != 400 {
-		t.Fatalf("Append after reopen: %d, %v", off, err)
+		t.Fatalf("append after reopen: %d, %v", off, err)
 	}
 }
 
@@ -304,16 +305,16 @@ func TestCompactingConcurrent(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 3000; i++ {
-			if _, err := s.Append(ts(i), fmt.Sprintf("req %d handled path=/api/%d", i, i%50), uint64(1+i%5)); err != nil {
+			if _, err := appendOne(s, ts(i), fmt.Sprintf("req %d handled path=/api/%d", i, i%50), uint64(1+i%5)); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 	}()
 	for {
-		s.ByTemplate(3)
+		s.ByTemplate(TimeRange{}, 3)
 		s.TemplateCounts(TimeRange{})
-		s.Search("handled")
+		s.Search("handled", TimeRange{})
 		s.Len()
 		s.Bytes()
 		select {
@@ -322,7 +323,7 @@ func TestCompactingConcurrent(t *testing.T) {
 			if s.Len() != 3000 {
 				t.Fatalf("Len = %d, want 3000", s.Len())
 			}
-			if got := len(s.ByTemplate(2)); got != 600 {
+			if got := len(s.ByTemplate(TimeRange{}, 2)); got != 600 {
 				t.Fatalf("ByTemplate(2) = %d, want 600", got)
 			}
 			return
@@ -367,41 +368,23 @@ func TestCompactingBadSegmentFallsBackToWAL(t *testing.T) {
 	}
 }
 
-// TestStoreFormatMismatchRefused: pointing one store format at the
-// other's directory must fail loudly instead of hiding records.
+// TestStoreFormatMismatchRefused: a record file of the retired plain
+// disk store must make recovery fail loudly, naming the rename that
+// adopts it, instead of hiding its records behind fresh offsets.
 func TestStoreFormatMismatchRefused(t *testing.T) {
-	// Plain disk topic dir opened as compacting store.
-	diskDir := t.TempDir()
-	dt, err := OpenDiskTopic(diskDir)
-	if err != nil {
+	dir := t.TempDir()
+	rec := make([]byte, recordOverhead, recordOverhead+8)
+	putRecordHeader(rec, ts(0), 1, len("a record"))
+	rec = append(rec, "a record"...)
+	if err := os.WriteFile(filepath.Join(dir, legacyPrefix+"000000"+walSuffix), rec, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dt.Append(ts(0), "a record", 1); err != nil {
-		t.Fatal(err)
+	_, err := OpenCompacting("t", CompactConfig{Dir: dir})
+	if err == nil {
+		t.Fatal("OpenCompacting on a legacy disk-topic dir must refuse")
 	}
-	if err := dt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCompacting("t", CompactConfig{Dir: diskDir}); err == nil {
-		t.Fatal("OpenCompacting on a DiskTopic dir must refuse")
-	}
-
-	// Compacting dir opened as plain disk topic.
-	segDir := t.TempDir()
-	cs, err := OpenCompacting("t", CompactConfig{Dir: segDir, SegmentBytes: 1 << 30, Codec: segment.CodecFlate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillCompacting(t, cs, 10, 0)
-	if err := cs.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	cs.WaitIdle()
-	if err := cs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenDiskTopic(segDir); err == nil {
-		t.Fatal("OpenDiskTopic on a compacting dir must refuse")
+	if !strings.Contains(err.Error(), "rename every segment-NNNNNN.log") || !strings.Contains(err.Error(), "wal-NNNNNN.log") {
+		t.Fatalf("refusal does not name the rename: %v", err)
 	}
 }
 
@@ -413,8 +396,8 @@ func TestCompactingAppendAfterClose(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Append(time.Now(), "x", 1); err == nil {
-		t.Fatal("Append after Close should fail")
+	if _, err := appendOne(s, time.Now(), "x", 1); err == nil {
+		t.Fatal("append after Close should fail")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal("double Close should be a no-op")

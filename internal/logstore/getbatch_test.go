@@ -118,7 +118,7 @@ func TestShardedGetBatch(t *testing.T) {
 	defer s.Close()
 	var offs []int64
 	for i := 0; i < 60; i++ {
-		off, err := s.Append(ts(i), fmt.Sprintf("sharded line %d", i), uint64(i%4))
+		off, err := appendOne(s, ts(i), fmt.Sprintf("sharded line %d", i), uint64(i%4))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,6 +92,79 @@ func (tr TimeRange) Overlaps(min, max time.Time) bool {
 	return true
 }
 
+// Store is the record-storage interface the service writes through:
+// memStore (an in-memory Topic), CompactingStore (the persistent and
+// sealing store) and ShardedStore (a fan-out over either) implement it.
+type Store interface {
+	// AppendBatch group-commits a batch of records, all stamped with the
+	// same timestamp, and returns the offset assigned to the first
+	// record. It is the only write: one lock acquisition, one durability
+	// write and one index extension per batch, with block rotation
+	// handled mid-batch. The store does not retain recs after the call.
+	// On error a prefix of the batch may have been admitted and the
+	// remainder was not — except on a sharded store routing across
+	// shards, where each shard admits a prefix of ITS sub-batch, so the
+	// surviving records may interleave with lost ones (see
+	// ShardedStore.AppendBatch). An empty batch is a no-op returning
+	// (0, nil).
+	AppendBatch(ts time.Time, recs []BatchRecord) (int64, error)
+	// Len returns the record count.
+	Len() int
+	// Bytes returns the total raw payload size.
+	Bytes() int64
+	// Get returns the record at offset.
+	Get(offset int64) (Record, error)
+	// GetBatch returns the records at offsets, in input order — the
+	// offset-dense sample-fetch path. Stores that decode sealed blocks
+	// group the offsets so each touched block is decoded once, not once
+	// per offset. Any out-of-range offset fails the whole call.
+	GetBatch(offsets []int64) ([]Record, error)
+	// Scan visits records in [from, to) whose timestamp lies in tr until
+	// fn returns false; to < 0 means end, the zero TimeRange visits all.
+	Scan(from, to int64, tr TimeRange, fn func(Record) bool)
+	// ByTemplate returns offsets of records with any of the template IDs
+	// whose timestamp lies in tr (zero range = everything), ascending.
+	// Sealed blocks prune on metadata alone when no queried template is
+	// present or their time bounds miss tr.
+	ByTemplate(tr TimeRange, ids ...uint64) []int64
+	// TemplateCounts returns record counts per template ID for records
+	// in tr (zero range = everything).
+	TemplateCounts(tr TimeRange) map[uint64]int
+	// GroupedCounts returns per-template record counts plus up to
+	// maxSamples example offsets each for records in tr, served from
+	// indexes and sealed metadata without reading record payloads where
+	// the range allows — the grouped-query pushdown path. Sealed blocks
+	// outside tr are pruned by metadata time bounds; only blocks the
+	// range straddles are decompressed, and within them only templates
+	// whose own time bounds straddle the boundary.
+	GroupedCounts(maxSamples int, tr TimeRange) map[uint64]TemplateGroup
+	// Search returns offsets of records containing the exact token whose
+	// timestamp lies in tr (zero range = everything). Sealed blocks
+	// outside tr, or whose bloom filter rules the token out, are pruned
+	// before the token filter runs.
+	Search(token string, tr TimeRange) []int64
+	// CountSince counts records at or after cut.
+	CountSince(cut time.Time) int
+	// Close releases resources; further appends fail.
+	Close() error
+}
+
+var _ Store = (*memStore)(nil)
+
+// memStore adapts Topic to the Store interface.
+type memStore struct{ *Topic }
+
+// NewStore returns an in-memory Store.
+func NewStore(name string) Store { return memStore{NewTopic(name)} }
+
+// AppendBatch implements Store.
+func (m memStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, error) {
+	return m.Topic.AppendBatch(ts, recs), nil
+}
+
+// Close implements Store.
+func (m memStore) Close() error { return nil }
+
 // Topic is an append-only record log with a template index and a token
 // index. All methods are safe for concurrent use.
 type Topic struct {
@@ -133,7 +206,7 @@ func NewTopic(name string) *Topic {
 func (t *Topic) Name() string { return t.name }
 
 // Append stores a record, assigns its offset, and indexes it. It returns
-// the assigned offset.
+// the assigned offset. WAL replay rebuilds a hot block through it.
 func (t *Topic) Append(ts time.Time, raw string, templateID uint64) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -284,15 +357,10 @@ func (t *Topic) Scan(from, to int64, tr TimeRange, fn func(Record) bool) {
 	}
 }
 
-// ByTemplate returns the offsets of records matched to any of ids, in
-// ascending order.
-func (t *Topic) ByTemplate(ids ...uint64) []int64 {
-	return t.ByTemplateRange(TimeRange{}, ids...)
-}
-
-// ByTemplateRange is ByTemplate bounded to records whose timestamp lies
-// in tr; the zero range takes the index fast path.
-func (t *Topic) ByTemplateRange(tr TimeRange, ids ...uint64) []int64 {
+// ByTemplate returns the offsets of records matched to any of ids whose
+// timestamp lies in tr, in ascending order; the zero range takes the
+// index fast path.
+func (t *Topic) ByTemplate(tr TimeRange, ids ...uint64) []int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	disp := t.disposeLocked(tr)
@@ -394,14 +462,9 @@ func (t *Topic) GroupedCounts(maxSamples int, tr TimeRange) map[uint64]TemplateG
 }
 
 // Search returns the offsets of records containing token (exact
-// whitespace-delimited match), ascending.
-func (t *Topic) Search(token string) []int64 {
-	return t.SearchRange(token, TimeRange{})
-}
-
-// SearchRange is Search bounded to records whose timestamp lies in tr;
-// the zero range copies the token index entry straight out.
-func (t *Topic) SearchRange(token string, tr TimeRange) []int64 {
+// whitespace-delimited match) whose timestamp lies in tr, ascending; the
+// zero range copies the token index entry straight out.
+func (t *Topic) Search(token string, tr TimeRange) []int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	offs := t.tokenIdx[token]

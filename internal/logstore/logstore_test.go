@@ -56,11 +56,11 @@ func TestByTemplateAndCounts(t *testing.T) {
 	tp.Append(ts(1), "a", 7)
 	tp.Append(ts(2), "b", 9)
 	tp.Append(ts(3), "c", 7)
-	offs := tp.ByTemplate(7)
+	offs := tp.ByTemplate(TimeRange{}, 7)
 	if len(offs) != 2 || offs[0] != 0 || offs[1] != 2 {
 		t.Errorf("ByTemplate(7) = %v", offs)
 	}
-	both := tp.ByTemplate(7, 9)
+	both := tp.ByTemplate(TimeRange{}, 7, 9)
 	if len(both) != 3 {
 		t.Errorf("ByTemplate(7,9) = %v", both)
 	}
@@ -75,11 +75,11 @@ func TestSearchTokenIndex(t *testing.T) {
 	tp.Append(ts(1), "error on disk sda", 1)
 	tp.Append(ts(2), "ok on disk sdb", 1)
 	tp.Append(ts(3), "error again", 2)
-	offs := tp.Search("error")
+	offs := tp.Search("error", TimeRange{})
 	if len(offs) != 2 || offs[0] != 0 || offs[1] != 2 {
 		t.Errorf("Search(error) = %v", offs)
 	}
-	if got := tp.Search("absent"); len(got) != 0 {
+	if got := tp.Search("absent", TimeRange{}); len(got) != 0 {
 		t.Errorf("Search(absent) = %v", got)
 	}
 }
@@ -185,7 +185,7 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				tp.Len()
 				tp.TemplateCounts(TimeRange{})
-				tp.Search("concurrent")
+				tp.Search("concurrent", TimeRange{})
 			}
 		}()
 	}

@@ -35,9 +35,10 @@ type ShardConfig struct {
 	Shards int
 	// Dir, when set, persists each shard under Dir/shard-<i>.
 	Dir string
-	// SegmentBytes > 0 backs every shard with a CompactingStore sealing
-	// blocks of this raw size; otherwise shards are plain topics
-	// (in-memory, or DiskTopic when Dir is set).
+	// SegmentBytes is the raw size at which each shard seals a block.
+	// With Dir set or SegmentBytes > 0 every shard is a CompactingStore
+	// (SegmentBytes 0 takes its default); otherwise shards are in-memory
+	// topics. See OpenStore.
 	SegmentBytes int64
 	// Codec compresses sealed payloads (segment store only).
 	Codec segment.Codec
@@ -47,19 +48,19 @@ type ShardConfig struct {
 }
 
 // ShardedStore fans one topic out over N sub-stores so appends scale
-// with cores: each ingestion queue pins its appends to one shard
-// (AppendShard) and never contends on another shard's store mutex, while
-// plain Append round-robins. Offsets are namespaced shard<<48|local;
-// reads route by the high bits and grouped queries merge per-shard
-// results. Global offset order is shard-major (all of shard 0's offsets
-// sort below shard 1's), and records from different shards interleave in
-// time — callers already tolerate both, exactly as they do for multiple
-// ingest queues.
+// with cores: each ingestion queue pins its batches to one shard
+// (AppendShardBatch) and never contends on another shard's store mutex,
+// while plain AppendBatch round-robins. Offsets are namespaced
+// shard<<48|local; reads route by the high bits and grouped queries
+// merge per-shard results. Global offset order is shard-major (all of
+// shard 0's offsets sort below shard 1's), and records from different
+// shards interleave in time — callers already tolerate both, exactly as
+// they do for multiple ingest queues.
 type ShardedStore struct {
 	name   string
 	m      *Metrics // never nil; per-shard append counters
 	shards []Store
-	next   atomic.Uint64 // round-robin cursor for un-pinned appends
+	next   atomic.Uint64 // round-robin cursor for un-pinned records
 }
 
 var _ Store = (*ShardedStore)(nil)
@@ -108,7 +109,7 @@ func checkShardLayout(fsys fsx.FS, dir string, shards int) error {
 	for _, e := range entries {
 		n := e.Name()
 		if !e.IsDir() {
-			if strings.HasSuffix(n, segmentSuffix) || strings.HasSuffix(n, sealedSuffix) || strings.HasSuffix(n, walSuffix) {
+			if strings.HasSuffix(n, sealedSuffix) || strings.HasSuffix(n, walSuffix) {
 				return fmt.Errorf("logstore: sharded open %s: found unsharded store file %s; this topic was persisted unsharded (set TopicShards back to 1, or use a fresh data dir)", dir, n)
 			}
 			continue
@@ -129,23 +130,34 @@ func shardDir(dir string, i int) string {
 }
 
 // OpenStore builds one store of the kind the knobs select: a compacting
-// segment store when segmentBytes > 0 (persistent when dir is set), a
-// disk topic when only dir is set, an in-memory topic otherwise. It is
-// the single store-selection point shared by the service layer (one
-// store per topic) and ShardedStore (one store per shard).
+// segment store when dir is set or segmentBytes > 0 (persistent when dir
+// is set; segmentBytes 0 takes the CompactConfig default), an in-memory
+// topic otherwise. It is the single store-selection point shared by the
+// service layer (one store per topic) and ShardedStore (one store per
+// shard).
 func OpenStore(name, dir string, segmentBytes int64, codec segment.Codec, opts ...StoreOptions) (Store, error) {
+	if dir == "" && segmentBytes <= 0 {
+		return NewStore(name), nil
+	}
 	var o StoreOptions
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	switch {
-	case segmentBytes > 0:
-		return OpenCompacting(name, CompactConfig{Dir: dir, SegmentBytes: segmentBytes, Codec: codec, Opts: o})
-	case dir == "":
-		return NewStore(name), nil
-	default:
-		return OpenDiskTopicFS(o.FS, dir)
+	return OpenCompacting(name, CompactConfig{Dir: dir, SegmentBytes: segmentBytes, Codec: codec, Opts: o})
+}
+
+// Seals reports whether st compacts records into sealed segments: a
+// CompactingStore, or a ShardedStore over them. ShardedStore implements
+// Compactor over in-memory shards too, so a Compactor assertion alone
+// does not tell.
+func Seals(st Store) bool {
+	switch s := st.(type) {
+	case *CompactingStore:
+		return true
+	case *ShardedStore:
+		return Seals(s.shards[0])
 	}
+	return false
 }
 
 // openShard builds one sub-store.
@@ -171,60 +183,18 @@ func (s *ShardedStore) shardDegraded(i int) bool {
 	return deg
 }
 
-// routeShard picks the shard for an un-pinned append: the round-robin
-// choice, unless it has degraded and a healthy sibling exists — a
-// single full disk must not wedge writes that other shards can still
-// take. When every shard is degraded the original pick is returned and
-// its ErrDegraded propagates.
-func (s *ShardedStore) routeShard(pick int) int {
-	n := len(s.shards)
-	for off := 0; off < n; off++ {
-		i := (pick + off) % n
-		if !s.shardDegraded(i) {
-			return i
-		}
-	}
-	return pick
-}
-
-// Append implements Store, round-robining across healthy shards.
-// Ingestion pipelines that want zero cross-shard contention use
-// AppendShard with a fixed queue→shard assignment instead.
-func (s *ShardedStore) Append(ts time.Time, raw string, templateID uint64) (int64, error) {
-	shard := int((s.next.Add(1) - 1) % uint64(len(s.shards)))
-	return s.AppendShard(s.routeShard(shard), ts, raw, templateID)
-}
-
-// AppendShard appends to one specific shard and returns the namespaced
-// global offset. Each ingestion queue pins itself to a shard so parallel
-// queues never serialize on a shared store mutex.
-func (s *ShardedStore) AppendShard(shard int, ts time.Time, raw string, templateID uint64) (int64, error) {
-	if shard < 0 || shard >= len(s.shards) {
-		return 0, fmt.Errorf("logstore: shard %d out of range [0,%d)", shard, len(s.shards))
-	}
-	local, err := s.shards[shard].Append(ts, raw, templateID)
-	if err != nil {
-		return 0, err
-	}
-	s.m.shardAppend(shard, 1)
-	if local > shardLocalMask {
-		return 0, fmt.Errorf("logstore: shard %d local offset %d overflows the %d-bit namespace", shard, local, shardShift)
-	}
-	return int64(shard)<<shardShift | local, nil
-}
-
-// AppendBatch implements Store: the batch is partitioned by the same
-// round-robin routing an Append sequence would use (record i of the batch
-// goes to the shard Append call number i would have picked), then each
-// shard receives its sub-batch through one group-committed AppendBatch
-// call. Offsets are therefore identical to the equivalent Append loop.
-// Pinned ingestion queues use AppendShardBatch instead and skip the
-// partition entirely. On error some shards may have admitted their
-// sub-batch (or a prefix of it) and others not, so — unlike single-store
-// AppendBatch — the admitted records are NOT necessarily a prefix of the
-// batch: surviving records can interleave with lost ones, exactly as
-// they could when parallel per-record Appends raced across shards. The
-// returned error reports the first failure.
+// AppendBatch implements Store: the batch is partitioned round-robin
+// over the shards (record i goes to the shard after record i-1's, the
+// cursor persisting across batches), with a degraded shard's records
+// steered to the next healthy shard — a single full disk must not wedge
+// writes that other shards can still take. Each shard then receives its
+// sub-batch through one group-committed AppendBatch call. Pinned
+// ingestion queues use AppendShardBatch instead and skip the partition
+// entirely. On error some shards may have admitted their sub-batch (or
+// a prefix of it) and others not, so — unlike single-store AppendBatch
+// — the admitted records are NOT necessarily a prefix of the batch:
+// surviving records can interleave with lost ones. The returned error
+// reports the first failure.
 func (s *ShardedStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, error) {
 	if len(recs) == 0 {
 		return 0, nil
@@ -284,8 +254,8 @@ func (s *ShardedStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, err
 
 // AppendShardBatch group-commits a whole batch into one specific shard
 // and returns the namespaced global offset of its first record — the
-// batch counterpart of AppendShard for pinned ingestion queues: one
-// sub-store AppendBatch call, zero cross-shard contention.
+// write path of pinned ingestion queues: one sub-store AppendBatch call,
+// zero cross-shard contention.
 func (s *ShardedStore) AppendShardBatch(shard int, ts time.Time, recs []BatchRecord) (int64, error) {
 	if shard < 0 || shard >= len(s.shards) {
 		return 0, fmt.Errorf("logstore: shard %d out of range [0,%d)", shard, len(s.shards))
@@ -407,20 +377,15 @@ func (s *ShardedStore) Scan(from, to int64, tr TimeRange, fn func(Record) bool) 
 	}
 }
 
-// ByTemplate implements Store. Per-shard results are ascending and the
-// namespace is shard-major, so concatenation in shard order is globally
-// ascending.
-func (s *ShardedStore) ByTemplate(ids ...uint64) []int64 {
-	return s.ByTemplateRange(TimeRange{}, ids...)
-}
-
-// ByTemplateRange implements Store, concatenating per-shard results in
+// ByTemplate implements Store, concatenating per-shard results in
 // namespace order; tr pushes down into each shard's own pruning.
-func (s *ShardedStore) ByTemplateRange(tr TimeRange, ids ...uint64) []int64 {
+// Per-shard results are ascending and the namespace is shard-major, so
+// the concatenation is globally ascending.
+func (s *ShardedStore) ByTemplate(tr TimeRange, ids ...uint64) []int64 {
 	var out []int64
 	for i, sub := range s.shards {
 		base := int64(i) << shardShift
-		for _, off := range sub.ByTemplateRange(tr, ids...) {
+		for _, off := range sub.ByTemplate(tr, ids...) {
 			out = append(out, base+off)
 		}
 	}
@@ -461,18 +426,14 @@ func (s *ShardedStore) GroupedCounts(maxSamples int, tr TimeRange) map[uint64]Te
 	return out
 }
 
-// Search implements Store; see ByTemplate for the ordering argument.
-func (s *ShardedStore) Search(token string) []int64 {
-	return s.SearchRange(token, TimeRange{})
-}
-
-// SearchRange implements Store, concatenating per-shard results in
-// namespace order; tr pushes down into each shard's own pruning.
-func (s *ShardedStore) SearchRange(token string, tr TimeRange) []int64 {
+// Search implements Store, concatenating per-shard results in namespace
+// order (see ByTemplate for the ordering argument); tr pushes down into
+// each shard's own pruning.
+func (s *ShardedStore) Search(token string, tr TimeRange) []int64 {
 	var out []int64
 	for i, sub := range s.shards {
 		base := int64(i) << shardShift
-		for _, off := range sub.SearchRange(token, tr) {
+		for _, off := range sub.Search(token, tr) {
 			out = append(out, base+off)
 		}
 	}
@@ -536,7 +497,7 @@ func (s *ShardedStore) Seal() error {
 		}
 	}
 	if !sealed {
-		return errors.New("logstore: sharded topic has no segment store (set SegmentBytes)")
+		return errors.New("logstore: sharded topic has no segment store (set SegmentBytes or Dir)")
 	}
 	return nil
 }
@@ -621,17 +582,11 @@ func (s *ShardedStore) DegradedShards() int {
 	return n
 }
 
-// Flush forces buffered durability writes (WALs, disk-topic buffers) to
-// the OS on every shard that has them.
+// Flush forces buffered WAL bytes to the OS on every compacting shard.
 func (s *ShardedStore) Flush() error {
 	for _, sub := range s.shards {
-		switch st := sub.(type) {
-		case *CompactingStore:
-			if err := st.Flush(); err != nil {
-				return err
-			}
-		case *DiskTopic:
-			if err := st.Sync(); err != nil {
+		if cs, ok := sub.(*CompactingStore); ok {
+			if err := cs.Flush(); err != nil {
 				return err
 			}
 		}

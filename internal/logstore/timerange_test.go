@@ -126,7 +126,7 @@ func TestCompactingTimeRangePushdown(t *testing.T) {
 	n := 0
 	appendOne := func() {
 		raw := fmt.Sprintf("req %d from host-%d", n, n%4)
-		if _, err := s.Append(ts(n), raw, uint64(1+n%3)); err != nil {
+		if _, err := appendOne(s, ts(n), raw, uint64(1+n%3)); err != nil {
 			t.Fatal(err)
 		}
 		n++
@@ -228,7 +228,7 @@ func TestCountSinceBoundaries(t *testing.T) {
 		s, done := build(t)
 		defer done()
 		for i := 0; i < 100; i++ {
-			if _, err := s.Append(ts(10+i), "x", 1); err != nil {
+			if _, err := appendOne(s, ts(10+i), "x", 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -238,7 +238,7 @@ func TestCountSinceBoundaries(t *testing.T) {
 		}
 		cs.WaitIdle()
 		for i := 0; i < 40; i++ { // hot tail continues the clock
-			if _, err := s.Append(ts(110+i), "x", 1); err != nil {
+			if _, err := appendOne(s, ts(110+i), "x", 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -264,7 +264,7 @@ func TestCountSinceBoundaries(t *testing.T) {
 		}
 		defer s.Close()
 		for i := 0; i < 90; i++ {
-			if _, err := s.AppendShard(i%3, ts(10+i), "x", 1); err != nil {
+			if _, err := appendShardOne(s, i%3, ts(10+i), "x", 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -306,7 +306,7 @@ func TestShardedTimeRangeQueries(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		r := rec{sec: i, tmpl: uint64(1 + i%5)}
 		all = append(all, r)
-		if _, err := s.AppendShard(i%4, ts(r.sec), fmt.Sprintf("evt %d", i), r.tmpl); err != nil {
+		if _, err := appendShardOne(s, i%4, ts(r.sec), fmt.Sprintf("evt %d", i), r.tmpl); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -317,7 +317,7 @@ func TestShardedTimeRangeQueries(t *testing.T) {
 	for i := 400; i < 500; i++ {
 		r := rec{sec: i, tmpl: uint64(1 + i%5)}
 		all = append(all, r)
-		if _, err := s.AppendShard(i%4, ts(r.sec), fmt.Sprintf("evt %d", i), r.tmpl); err != nil {
+		if _, err := appendShardOne(s, i%4, ts(r.sec), fmt.Sprintf("evt %d", i), r.tmpl); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -396,7 +396,7 @@ func TestShardedTimeRangeStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				if _, err := s.AppendShard(w, ts(i), fmt.Sprintf("w%d line %d token-%d", w, i, i%17), uint64(1+i%7)); err != nil {
+				if _, err := appendShardOne(s, w, ts(i), fmt.Sprintf("w%d line %d token-%d", w, i, i%17), uint64(1+i%7)); err != nil {
 					t.Error(err)
 					return
 				}

@@ -28,12 +28,11 @@ func stopSealer(s *CompactingStore) {
 	s.sealWG.Wait()
 }
 
-// TestWALBatchGoldenBytes is the WAL-compat satellite: the bytes a
-// group-committed AppendBatch writes must be identical to the bytes the
-// per-record Append path writes for the same records — including the
-// block-rotation boundaries mid-batch, so the WAL file SET matches too.
-// Byte identity is what guarantees a pre-PR reader replays batch-written
-// WALs: the on-disk format did not change at all.
+// TestWALBatchGoldenBytes: the bytes one group-committed AppendBatch
+// writes must be identical to the bytes the same records written as
+// one-record batches produce — including the block-rotation boundaries
+// mid-batch, so the WAL file SET matches too. WAL contents and block
+// layout therefore do not depend on how ingest was batched.
 func TestWALBatchGoldenBytes(t *testing.T) {
 	for _, segBytes := range []int64{1 << 30, 300} {
 		t.Run(fmt.Sprintf("segmentBytes=%d", segBytes), func(t *testing.T) {
@@ -59,7 +58,7 @@ func TestWALBatchGoldenBytes(t *testing.T) {
 				}
 			}
 			for _, r := range recs {
-				if _, err := one.Append(ts(7), r.Raw, r.TemplateID); err != nil {
+				if _, err := appendOne(one, ts(7), r.Raw, r.TemplateID); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -75,7 +74,7 @@ func TestWALBatchGoldenBytes(t *testing.T) {
 
 			onePaths, batchPaths := walFiles(t, dirOne), walFiles(t, dirBatch)
 			if len(onePaths) != len(batchPaths) {
-				t.Fatalf("WAL file sets differ: per-record %v, batch %v", onePaths, batchPaths)
+				t.Fatalf("WAL file sets differ: one-record batches %v, whole batch %v", onePaths, batchPaths)
 			}
 			if segBytes == 300 && len(onePaths) < 2 {
 				t.Fatalf("expected mid-batch rotation to produce multiple WALs, got %v", onePaths)
@@ -93,7 +92,7 @@ func TestWALBatchGoldenBytes(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(a, b) {
-					t.Fatalf("WAL %s differs between per-record and batch paths (%d vs %d bytes)",
+					t.Fatalf("WAL %s differs between one-record batches and one whole batch (%d vs %d bytes)",
 						filepath.Base(onePaths[i]), len(a), len(b))
 				}
 			}
@@ -211,7 +210,7 @@ func TestWALTornTailMidBatch(t *testing.T) {
 		}
 	}
 	// The torn record must not resurface.
-	if hits := s2.Search("record"); len(hits) != 7 {
+	if hits := s2.Search("record", TimeRange{}); len(hits) != 7 {
 		t.Fatalf("Search hits = %d, want 7 (5 admitted + 2 post-rotate)", len(hits))
 	}
 }

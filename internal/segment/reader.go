@@ -70,8 +70,6 @@ func Open(data []byte) (*Reader, error) {
 	}
 	switch r.codec {
 	case CodecNone, CodecFlate:
-	case CodecZstd:
-		return nil, ErrCodecUnavailable
 	default:
 		return nil, corruptf("unknown codec %d", data[5])
 	}
@@ -239,15 +237,6 @@ func (r *Reader) HasTemplate(id uint64) bool {
 	return i < len(r.meta.tmplIDs) && r.meta.tmplIDs[i] == id
 }
 
-// TemplateCounts returns the per-template record counts from metadata.
-func (r *Reader) TemplateCounts() map[uint64]int {
-	out := make(map[uint64]int, len(r.meta.tmplIDs))
-	for i, id := range r.meta.tmplIDs {
-		out[id] = r.meta.tmplCounts[i]
-	}
-	return out
-}
-
 // TemplateMeta is the metadata the segment stores for one template: its
 // record count, the first few record offsets as grouped-query samples,
 // and the time bounds of its records (v3; older segments report the
@@ -260,11 +249,10 @@ type TemplateMeta struct {
 	MaxTime time.Time
 }
 
-// TemplateMetas returns every template's metadata entry, ID-ascending —
-// the full grouped-query pushdown surface, answered without touching the
-// payload. The sample slices alias the reader's immutable state; callers
-// must not modify them.
-func (r *Reader) TemplateMetas() []TemplateMeta {
+// allMetas returns every template's metadata entry, ID-ascending,
+// answered without touching the payload. The sample slices alias the
+// reader's immutable state; callers must not modify them.
+func (r *Reader) allMetas() []TemplateMeta {
 	out := make([]TemplateMeta, len(r.meta.tmplIDs))
 	for i, id := range r.meta.tmplIDs {
 		out[i] = TemplateMeta{
@@ -320,32 +308,30 @@ func (r *Reader) OverlapsRange(from, to time.Time) bool {
 	return lo <= hi && r.maxTime >= lo && r.minTime <= hi
 }
 
-// TemplateMetasRange returns per-template metadata restricted to records
+// TemplateMetas returns per-template metadata restricted to records
 // with timestamps in [from, to] (inclusive; zero times are unbounded),
-// ID-ascending. It is the time-range grouped-query pushdown surface:
+// ID-ascending. It is the grouped-query pushdown surface:
 //
 //   - a block outside the range returns nothing, metadata-only;
-//   - a block fully inside returns the sealed metadata as-is;
+//   - a block fully inside (always, for the zero range) returns the
+//     sealed metadata as-is, without touching the payload;
 //   - in a straddling block, templates whose own time bounds fall fully
 //     inside keep their metadata counts/samples, templates fully outside
 //     prune away, and only templates straddling the boundary force one
 //     payload decode (pre-v3 segments lack per-template bounds, so every
 //     surviving template counts as straddling there).
-func (r *Reader) TemplateMetasRange(from, to time.Time) ([]TemplateMeta, error) {
-	metas, _, err := r.TemplateMetasRangeInfo(from, to)
-	return metas, err
-}
-
-// TemplateMetasRangeInfo is TemplateMetasRange plus a decoded flag:
-// false means metadata alone answered the query and the payload was
-// never decompressed — the observable pushdown win.
-func (r *Reader) TemplateMetasRangeInfo(from, to time.Time) ([]TemplateMeta, bool, error) {
+//
+// decoded reports whether the payload was decompressed; false means
+// metadata alone answered the query — the observable pushdown win. The
+// sample slices may alias the reader's immutable state; callers must not
+// modify them.
+func (r *Reader) TemplateMetas(from, to time.Time) (_ []TemplateMeta, decoded bool, _ error) {
 	lo, hi := rangeNanos(from, to)
 	if lo > hi || r.maxTime < lo || r.minTime > hi {
 		return nil, false, nil
 	}
 	if r.minTime >= lo && r.maxTime <= hi {
-		return r.TemplateMetas(), false, nil
+		return r.allMetas(), false, nil
 	}
 	out := make([]TemplateMeta, 0, len(r.meta.tmplIDs))
 	straddling := make(map[uint64]*TemplateMeta)
@@ -412,17 +398,11 @@ func (r *Reader) TemplateMetasRangeInfo(from, to time.Time) ([]TemplateMeta, boo
 	return out, true, nil
 }
 
-// TemplateCountsRange returns per-template record counts restricted to
-// [from, to], with the same pushdown behavior as TemplateMetasRange.
-func (r *Reader) TemplateCountsRange(from, to time.Time) (map[uint64]int, error) {
-	counts, _, err := r.TemplateCountsRangeInfo(from, to)
-	return counts, err
-}
-
-// TemplateCountsRangeInfo is TemplateCountsRange plus the decoded flag
-// from TemplateMetasRangeInfo.
-func (r *Reader) TemplateCountsRangeInfo(from, to time.Time) (map[uint64]int, bool, error) {
-	metas, decoded, err := r.TemplateMetasRangeInfo(from, to)
+// TemplateCounts returns per-template record counts restricted to
+// [from, to], with the same pushdown behavior and decoded flag as
+// TemplateMetas.
+func (r *Reader) TemplateCounts(from, to time.Time) (_ map[uint64]int, decoded bool, _ error) {
+	metas, decoded, err := r.TemplateMetas(from, to)
 	if err != nil {
 		return nil, decoded, err
 	}
@@ -577,73 +557,14 @@ func (r *Reader) Scan(fn func(Record) bool) error {
 	return nil
 }
 
-// ByTemplate returns the topic offsets of records whose template is any
-// of ids. When the metadata rules every id out the payload is never
-// decompressed — the template-pushdown fast path.
-func (r *Reader) ByTemplate(ids ...uint64) ([]int64, error) {
-	any := false
-	for _, id := range ids {
-		if r.HasTemplate(id) {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return nil, nil
-	}
-	want := make(map[uint64]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
-	}
-	recs, err := r.Records()
-	if err != nil {
-		return nil, err
-	}
-	var out []int64
-	for _, rec := range recs {
-		if want[rec.TemplateID] {
-			out = append(out, rec.Offset)
-		}
-	}
-	return out, nil
-}
-
 // Search returns the topic offsets of records containing the exact
-// whitespace-delimited token. The bloom filter screens out definite
-// misses without decompressing.
-func (r *Reader) Search(token string) ([]int64, error) {
-	if !r.MayContainToken(token) {
-		return nil, nil
-	}
-	recs, err := r.Records()
-	if err != nil {
-		return nil, err
-	}
-	var out []int64
-	for _, rec := range recs {
-		for _, tok := range Tokenize(rec.Raw) {
-			if tok == token {
-				out = append(out, rec.Offset)
-				break
-			}
-		}
-	}
-	return out, nil
-}
-
-// SearchRange is Search bounded to records with timestamps in
-// [from, to] (inclusive; zero times are unbounded).
-func (r *Reader) SearchRange(token string, from, to time.Time) ([]int64, error) {
-	offs, _, err := r.SearchRangeInfo(token, from, to)
-	return offs, err
-}
-
-// SearchRangeInfo is SearchRange plus a decoded flag: false means the
+// whitespace-delimited token whose timestamps lie in [from, to]
+// (inclusive; zero times are unbounded). decoded is false when the
 // block pruned away on metadata alone — its time bounds fall outside
 // the range, or the bloom filter rules the token out — and the payload
 // was never decompressed. Unlike the grouped-counts pushdown, a
 // surviving block always decodes: token matching needs the raw lines.
-func (r *Reader) SearchRangeInfo(token string, from, to time.Time) ([]int64, bool, error) {
+func (r *Reader) Search(token string, from, to time.Time) (_ []int64, decoded bool, _ error) {
 	lo, hi := rangeNanos(from, to)
 	if lo > hi || r.maxTime < lo || r.minTime > hi {
 		return nil, false, nil
@@ -673,18 +594,13 @@ func (r *Reader) SearchRangeInfo(token string, from, to time.Time) ([]int64, boo
 	return out, true, nil
 }
 
-// ByTemplateRange is ByTemplate bounded to records with timestamps in
-// [from, to] (inclusive; zero times are unbounded).
-func (r *Reader) ByTemplateRange(from, to time.Time, ids ...uint64) ([]int64, error) {
-	offs, _, err := r.ByTemplateRangeInfo(from, to, ids...)
-	return offs, err
-}
-
-// ByTemplateRangeInfo is ByTemplateRange plus a decoded flag: false
-// means metadata alone pruned the block — time bounds outside the
-// range, no queried template present, or every queried template's own
-// time bounds (v3; block bounds pre-v3) miss the range entirely.
-func (r *Reader) ByTemplateRangeInfo(from, to time.Time, ids ...uint64) ([]int64, bool, error) {
+// ByTemplate returns the topic offsets of records whose template is any
+// of ids and whose timestamps lie in [from, to] (inclusive; zero times
+// are unbounded). decoded is false when metadata alone pruned the block
+// — time bounds outside the range, no queried template present, or
+// every queried template's own time bounds (v3; block bounds pre-v3)
+// miss the range entirely — and the payload was never decompressed.
+func (r *Reader) ByTemplate(from, to time.Time, ids ...uint64) (_ []int64, decoded bool, _ error) {
 	lo, hi := rangeNanos(from, to)
 	if lo > hi || r.maxTime < lo || r.minTime > hi {
 		return nil, false, nil

@@ -129,8 +129,8 @@ func TestEncodeRejectsBadInput(t *testing.T) {
 	if _, _, err := Encode(recs, CodecFlate); err == nil {
 		t.Fatal("Encode with non-dense offsets should fail")
 	}
-	if _, _, err := Encode(sampleRecords(3, 0), CodecZstd); err == nil {
-		t.Fatal("Encode with gated zstd codec should fail")
+	if _, _, err := Encode(sampleRecords(3, 0), Codec(2)); err == nil {
+		t.Fatal("Encode with unknown codec byte 2 should fail")
 	}
 }
 
@@ -139,7 +139,7 @@ func TestTemplatePushdown(t *testing.T) {
 	reads := r.BlockReads() // roundTrip decoded once
 
 	// Absent template: metadata answers, payload untouched.
-	offs, err := r.ByTemplate(999)
+	offs, _, err := r.ByTemplate(time.Time{}, time.Time{}, 999)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestTemplatePushdown(t *testing.T) {
 	}
 
 	// Present template: decompresses once, returns exact offsets.
-	offs, err = r.ByTemplate(101)
+	offs, _, err = r.ByTemplate(time.Time{}, time.Time{}, 101)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestTemplatePushdown(t *testing.T) {
 	if !r.HasTemplate(102) || r.HasTemplate(7) {
 		t.Fatal("HasTemplate metadata wrong")
 	}
-	counts := r.TemplateCounts()
+	counts, _, _ := r.TemplateCounts(time.Time{}, time.Time{})
 	if counts[101] != 100 || counts[102] != 100 || counts[103] != 100 {
 		t.Fatalf("TemplateCounts = %v", counts)
 	}
@@ -173,7 +173,7 @@ func TestTemplatePushdown(t *testing.T) {
 func TestTokenSearchBloom(t *testing.T) {
 	r := roundTrip(t, sampleRecords(300, 50), CodecFlate)
 	reads := r.BlockReads()
-	offs, err := r.Search("terminating")
+	offs, _, err := r.Search("terminating", time.Time{}, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestTokenSearchBloom(t *testing.T) {
 	// A token that cannot be present: bloom must usually skip the decode.
 	// (Bloom filters allow false positives, so assert correctness of the
 	// result, and only note the common fast path.)
-	offs, err = r.Search("definitely-not-a-token-xyzzy")
+	offs, _, err = r.Search("definitely-not-a-token-xyzzy", time.Time{}, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestParseCodec(t *testing.T) {
 		}
 	}
 	if _, err := ParseCodec("zstd"); err == nil {
-		t.Fatal("zstd must be gated in this build")
+		t.Fatal("zstd is not a codec and must be rejected")
 	}
 	if _, err := ParseCodec("lz77"); err == nil {
 		t.Fatal("unknown codec must error")
@@ -371,11 +371,14 @@ func TestTemplateMetaSamples(t *testing.T) {
 			want[rec.TemplateID] = append(want[rec.TemplateID], rec.Offset)
 		}
 	}
-	metas := r.TemplateMetas()
+	metas, decoded, err := r.TemplateMetas(time.Time{}, time.Time{})
+	if err != nil || decoded {
+		t.Fatalf("TemplateMetas: decoded=%v err=%v", decoded, err)
+	}
 	if len(metas) != len(want) {
 		t.Fatalf("TemplateMetas returned %d entries, want %d", len(metas), len(want))
 	}
-	counts := r.TemplateCounts()
+	counts, _, _ := r.TemplateCounts(time.Time{}, time.Time{})
 	for _, tm := range metas {
 		if tm.Count != counts[tm.ID] {
 			t.Errorf("template %d count %d != TemplateCounts %d", tm.ID, tm.Count, counts[tm.ID])
@@ -468,7 +471,11 @@ func TestVersionCompat(t *testing.T) {
 					t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
 				}
 			}
-			for _, tm := range r.TemplateMetas() {
+			all, _, err := r.TemplateMetas(time.Time{}, time.Time{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tm := range all {
 				if version < 2 && len(tm.Samples) != 0 {
 					t.Errorf("v1 template %d has samples %v", tm.ID, tm.Samples)
 				}
@@ -482,7 +489,7 @@ func TestVersionCompat(t *testing.T) {
 			}
 			// A mid-block range must still count exactly (via payload
 			// decode, since old metadata cannot prune templates).
-			metas, err := r.TemplateMetasRange(ts(30), ts(89))
+			metas, _, err := r.TemplateMetas(ts(30), ts(89))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -519,7 +526,11 @@ func TestTemplateTimeBounds(t *testing.T) {
 			wantMax[rec.TemplateID] = rec.Time
 		}
 	}
-	for _, tm := range r.TemplateMetas() {
+	metas, _, err := r.TemplateMetas(time.Time{}, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tm := range metas {
 		if !tm.MinTime.Equal(wantMin[tm.ID]) || !tm.MaxTime.Equal(wantMax[tm.ID]) {
 			t.Errorf("template %d bounds [%v,%v], want [%v,%v]",
 				tm.ID, tm.MinTime, tm.MaxTime, wantMin[tm.ID], wantMax[tm.ID])
@@ -546,20 +557,20 @@ func TestTemplateMetasRangePushdown(t *testing.T) {
 	reads := r.BlockReads()
 
 	// Disjoint range: metadata-only, nothing returned.
-	if metas, err := r.TemplateMetasRange(ts(1000), ts(2000)); err != nil || metas != nil {
+	if metas, _, err := r.TemplateMetas(ts(1000), ts(2000)); err != nil || metas != nil {
 		t.Fatalf("disjoint range = %v, %v", metas, err)
 	}
 	if !r.OverlapsRange(ts(0), ts(99)) || r.OverlapsRange(ts(100), ts(200)) {
 		t.Fatal("OverlapsRange metadata answers wrong")
 	}
 	// Covering range: metadata-only, full answer.
-	metas, err := r.TemplateMetasRange(ts(0), ts(99))
+	metas, _, err := r.TemplateMetas(ts(0), ts(99))
 	if err != nil || len(metas) != 2 || metas[0].Count != 50 || metas[1].Count != 50 {
 		t.Fatalf("covering range = %+v, %v", metas, err)
 	}
 	// Straddling block, but both templates decidable from their own
 	// bounds: template 1 prunes away, template 2 is fully inside.
-	metas, err = r.TemplateMetasRange(ts(50), ts(200))
+	metas, _, err = r.TemplateMetas(ts(50), ts(200))
 	if err != nil || len(metas) != 1 || metas[0].ID != 2 || metas[0].Count != 50 {
 		t.Fatalf("per-template prune = %+v, %v", metas, err)
 	}
@@ -568,7 +579,7 @@ func TestTemplateMetasRangePushdown(t *testing.T) {
 	}
 	// A range splitting template 2 itself: one decode, exact counts and
 	// in-range samples.
-	metas, err = r.TemplateMetasRange(ts(60), ts(69))
+	metas, _, err = r.TemplateMetas(ts(60), ts(69))
 	if err != nil || len(metas) != 1 || metas[0].ID != 2 || metas[0].Count != 10 {
 		t.Fatalf("straddling template = %+v, %v", metas, err)
 	}
@@ -582,14 +593,14 @@ func TestTemplateMetasRangePushdown(t *testing.T) {
 		t.Fatalf("straddling range paid %d reads, want 1", r.BlockReads()-reads)
 	}
 	// Unbounded sides.
-	if metas, _ := r.TemplateMetasRange(time.Time{}, time.Time{}); len(metas) != 2 {
+	if metas, _, _ := r.TemplateMetas(time.Time{}, time.Time{}); len(metas) != 2 {
 		t.Fatalf("unbounded range = %+v", metas)
 	}
-	if metas, _ := r.TemplateMetasRange(ts(50), time.Time{}); len(metas) != 1 || metas[0].ID != 2 {
+	if metas, _, _ := r.TemplateMetas(ts(50), time.Time{}); len(metas) != 1 || metas[0].ID != 2 {
 		t.Fatalf("from-only range = %+v", metas)
 	}
 	// Inverted range is empty, not an error.
-	if metas, err := r.TemplateMetasRange(ts(80), ts(20)); err != nil || metas != nil {
+	if metas, _, err := r.TemplateMetas(ts(80), ts(20)); err != nil || metas != nil {
 		t.Fatalf("inverted range = %v, %v", metas, err)
 	}
 	// Bounds outside the int64-nanosecond epoch (years 1678–2262) must
@@ -597,19 +608,19 @@ func TestTemplateMetasRangePushdown(t *testing.T) {
 	// year 1000 matches everything, and a [1000, 3000] range covers all.
 	y1000 := time.Date(1000, 1, 1, 0, 0, 0, 0, time.UTC)
 	y3000 := time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)
-	if metas, err := r.TemplateMetasRange(y3000, time.Time{}); err != nil || metas != nil {
+	if metas, _, err := r.TemplateMetas(y3000, time.Time{}); err != nil || metas != nil {
 		t.Fatalf("far-future from = %v, %v, want nothing", metas, err)
 	}
 	if r.OverlapsRange(y3000, time.Time{}) {
 		t.Fatal("OverlapsRange(year 3000, ∞) = true")
 	}
-	if metas, _ := r.TemplateMetasRange(y1000, time.Time{}); len(metas) != 2 {
+	if metas, _, _ := r.TemplateMetas(y1000, time.Time{}); len(metas) != 2 {
 		t.Fatalf("far-past from = %+v, want both templates", metas)
 	}
-	if metas, _ := r.TemplateMetasRange(y1000, y3000); len(metas) != 2 {
+	if metas, _, _ := r.TemplateMetas(y1000, y3000); len(metas) != 2 {
 		t.Fatalf("epoch-spanning range = %+v, want both templates", metas)
 	}
-	if metas, err := r.TemplateMetasRange(time.Time{}, y1000); err != nil || metas != nil {
+	if metas, _, err := r.TemplateMetas(time.Time{}, y1000); err != nil || metas != nil {
 		t.Fatalf("far-past to = %v, %v, want nothing", metas, err)
 	}
 }
@@ -638,7 +649,7 @@ func TestSearchTokenizationRoundTrip(t *testing.T) {
 			if !r.MayContainToken(tok) {
 				t.Fatalf("bloom misses token %q of stored line %q", tok, raw)
 			}
-			offs, err := r.Search(tok)
+			offs, _, err := r.Search(tok, time.Time{}, time.Time{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -668,6 +679,21 @@ func TestOpenRejectsUnknownVersion(t *testing.T) {
 	binary.LittleEndian.PutUint32(blob[len(blob)-crcSize:], crc32.ChecksumIEEE(body))
 	if _, err := Open(blob); err == nil {
 		t.Fatal("future format version accepted")
+	}
+}
+
+// TestOpenRejectsCodecByte2: only codec bytes 0 (none) and 1 (flate)
+// exist; byte 2 is rejected as unknown.
+func TestOpenRejectsCodecByte2(t *testing.T) {
+	blob, _, err := Encode(sampleRecords(8, 0), CodecNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[5] = 2
+	body := blob[:len(blob)-crcSize]
+	binary.LittleEndian.PutUint32(blob[len(blob)-crcSize:], crc32.ChecksumIEEE(body))
+	if _, err := Open(blob); err == nil || !strings.Contains(err.Error(), "unknown codec") {
+		t.Fatalf("Open with codec byte 2: err = %v, want unknown codec", err)
 	}
 }
 

@@ -249,7 +249,7 @@ func (m *serviceMetrics) bindTopicGauges(s *Service, st *topicState) {
 		return int64(len(st.buffer))
 	}, st.name)
 	m.topicTrainings.Bind(func() int64 { return st.trainings.Load() }, st.name)
-	if cs, ok := st.store.(logstore.Compactor); ok && s.cfg.SegmentBytes > 0 {
+	if cs, ok := st.store.(logstore.Compactor); ok && logstore.Seals(st.store) {
 		m.topicSegments.Bind(func() int64 { return int64(cs.SegmentStats().Segments) }, st.name)
 		m.blocksRead.Bind(func() int64 { return cs.SegmentStats().BlockReads }, st.name)
 	}

@@ -93,13 +93,18 @@ func TestServicePersistedFilesOnDisk(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// A data dir alone selects the compacting segment store: the hot
+	// block persists as a write-ahead log beside the model snapshots.
 	for _, want := range []string{
-		filepath.Join(dir, "app", "records", "segment-000000.log"),
+		filepath.Join(dir, "app", "records", "wal-000000.log"),
 		filepath.Join(dir, "app", "models", "model-000000.bin"),
 	} {
 		if !fileExists(want) {
 			t.Errorf("expected persisted file %s", want)
 		}
+	}
+	if legacy, _ := filepath.Glob(filepath.Join(dir, "app", "records", "segment-*.log")); len(legacy) != 0 {
+		t.Errorf("legacy disk-store files written: %v", legacy)
 	}
 }
 

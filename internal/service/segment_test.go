@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"bytebrain/internal/logstore"
 )
 
 func segmentConfig(dataDir string) Config {
@@ -150,11 +152,84 @@ func TestBadSegmentCodecRejected(t *testing.T) {
 	svc := New(Config{SegmentBytes: 1 << 20, SegmentCodec: "zstd"})
 	defer svc.Close()
 	if err := svc.CreateTopic("app"); err == nil {
-		t.Fatal("zstd codec is gated and must be rejected")
+		t.Fatal("zstd is not a codec and must be rejected")
+	}
+	// A data dir alone seals too, so it validates the codec as well.
+	svcDir := New(Config{DataDir: t.TempDir(), SegmentCodec: "zstd"})
+	defer svcDir.Close()
+	if err := svcDir.CreateTopic("app"); err == nil {
+		t.Fatal("a data-dir topic must reject an unknown codec")
 	}
 	svc2 := New(Config{SegmentBytes: 1 << 20, SegmentCodec: "bogus"})
 	defer svc2.Close()
 	if err := svc2.CreateTopic("app"); err == nil {
 		t.Fatal("unknown codec must be rejected")
+	}
+}
+
+// TestDataDirAloneUsesSegmentStore: a data dir without SegmentBytes runs
+// on the compacting segment store at its default block size, seals with
+// the default flate codec, and recovers every record after a restart.
+func TestDataDirAloneUsesSegmentStore(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{
+		TrainVolume: 1 << 30,
+		DataDir:     dir,
+		Now:         func() time.Time { return time.Unix(1700000000, 0) },
+	}
+	svc := New(cfg)
+	if err := svc.CreateTopic("app"); err != nil {
+		t.Fatal(err)
+	}
+	store, err := svc.Store("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := store.(*logstore.CompactingStore); !ok {
+		t.Fatalf("data-dir store is %T, want *logstore.CompactingStore", store)
+	}
+	if err := svc.Ingest("app", segLines(500, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Compact("app"); err != nil {
+		t.Fatalf("Compact on a data-dir topic: %v", err)
+	}
+	stats, err := svc.TopicStats("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.SegmentCodec != "flate" || stats.Segments != 1 || stats.SegmentRecords != 500 {
+		t.Fatalf("segment stats after Compact: %+v", stats)
+	}
+	if err := svc.Ingest("app", segLines(200, 500)); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2 := New(cfg)
+	defer svc2.Close()
+	if err := svc2.CreateTopic("app"); err != nil {
+		t.Fatal(err)
+	}
+	want := segLines(700, 0)
+	recs, err := svc2.Records("app", func() []int64 {
+		offs := make([]int64, len(want))
+		for i := range offs {
+			offs[i] = int64(i)
+		}
+		return offs
+	}())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs {
+		if r.Raw != want[i] {
+			t.Fatalf("record %d after restart = %q, want %q", i, r.Raw, want[i])
+		}
+	}
+	if stats, _ := svc2.TopicStats("app"); stats.Records != 700 || stats.Segments != 1 {
+		t.Fatalf("after restart: %d records, %d segments; want 700, 1", stats.Records, stats.Segments)
 	}
 }

@@ -53,19 +53,24 @@ type Config struct {
 	// DefaultThreshold is the query threshold when the caller does not
 	// specify one (default 0.7).
 	DefaultThreshold float64
-	// DataDir, when set, persists every topic to disk (append-only
-	// segments plus model snapshots) under DataDir/<topic>; topics
-	// recover on restart. Empty keeps everything in memory.
+	// DataDir, when set, persists every topic to disk under
+	// DataDir/<topic> in the template-aware compacting segment store
+	// (a write-ahead log for the hot block, sealed segments, model
+	// snapshots); topics recover on restart. Empty keeps everything in
+	// memory.
 	DataDir string
-	// SegmentBytes > 0 enables the template-aware compacting segment
-	// store: hot writes stay in memory and a background compactor seals
-	// blocks of this raw size into compressed columnar segments
-	// (on disk under DataDir when set, otherwise as in-memory blobs).
-	// Grouped queries push template IDs down to segment metadata and
-	// skip non-matching blocks entirely.
+	// SegmentBytes is the raw block size at which the compacting segment
+	// store seals: hot writes stay in memory (and in the WAL with
+	// DataDir) and a background compactor seals blocks of this raw size
+	// into compressed columnar segments. Grouped queries push template
+	// IDs down to segment metadata and skip non-matching blocks
+	// entirely. With DataDir set, 0 takes the store's 4 MiB default;
+	// without DataDir, > 0 keeps sealed segments as in-memory blobs and
+	// 0 keeps plain in-memory topics that never seal.
 	SegmentBytes int64
 	// SegmentCodec selects the sealed-payload compression: "flate"
-	// (default), "none", or "zstd" (gated — unavailable in this build).
+	// (default) or "none". It is validated whenever the store seals
+	// (DataDir set or SegmentBytes > 0).
 	SegmentCodec string
 	// SnapshotRetain > 0 bounds the internal topic: only the newest
 	// SnapshotRetain model snapshots are kept per topic (plus periodic
@@ -408,16 +413,16 @@ func (s *Service) CreateTopic(name string) error {
 
 // openTopicStore builds one topic's record store from the config knobs:
 // sharded when TopicShards > 1 (each shard the kind the remaining knobs
-// select), compacting-segment when SegmentBytes > 0, disk-backed when
-// DataDir is set, in-memory otherwise. Persistent stores recover
-// existing on-disk state.
+// select), compacting-segment when DataDir is set or SegmentBytes > 0,
+// in-memory otherwise (see logstore.OpenStore). Persistent stores
+// recover existing on-disk state.
 func (s *Service) openTopicStore(name string, lm *logstore.Metrics) (logstore.Store, error) {
 	dir := ""
 	if s.cfg.DataDir != "" {
 		dir = filepath.Join(s.cfg.DataDir, name, "records")
 	}
 	var codec segment.Codec
-	if s.cfg.SegmentBytes > 0 {
+	if dir != "" || s.cfg.SegmentBytes > 0 {
 		c, err := segment.ParseCodec(s.cfg.SegmentCodec)
 		if err != nil {
 			return nil, fmt.Errorf("service: topic %q: %w", name, err)
@@ -747,8 +752,8 @@ type Stats struct {
 	DegradedReason string `json:",omitempty"`
 	DegradedShards int    `json:",omitempty"`
 	SealRetries    int64  `json:",omitempty"`
-	// Segment-store compression counters, zero unless Config.SegmentBytes
-	// enabled the compacting store for this topic.
+	// Segment-store compression counters, zero unless the topic's store
+	// seals (Config.DataDir or Config.SegmentBytes set).
 	Segments               int     `json:",omitempty"`
 	SegmentRecords         int     `json:",omitempty"`
 	SegmentRawBytes        int64   `json:",omitempty"`
@@ -811,7 +816,7 @@ func (s *Service) TopicStats(topicName string) (Stats, error) {
 			}
 		}
 	}
-	if cs, ok := st.store.(logstore.Compactor); ok && s.cfg.SegmentBytes > 0 {
+	if cs, ok := st.store.(logstore.Compactor); ok && logstore.Seals(st.store) {
 		sst := cs.SegmentStats()
 		stats.Segments = sst.Segments
 		stats.SegmentRecords = sst.SealedRecords
@@ -859,15 +864,16 @@ func (s *Service) DegradedTopics() map[string]string {
 
 // Compact forces the topic's current hot block to seal into a compressed
 // segment and waits for the compactor to drain. It errors when the topic
-// does not use the segment store (Config.SegmentBytes unset).
+// does not use the segment store (neither Config.DataDir nor
+// Config.SegmentBytes set).
 func (s *Service) Compact(topicName string) error {
 	st, err := s.topic(topicName)
 	if err != nil {
 		return err
 	}
 	cs, ok := st.store.(logstore.Compactor)
-	if !ok || s.cfg.SegmentBytes <= 0 {
-		return fmt.Errorf("service: topic %q has no segment store (set SegmentBytes)", topicName)
+	if !ok || !logstore.Seals(st.store) {
+		return fmt.Errorf("service: topic %q has no segment store (set DataDir or SegmentBytes)", topicName)
 	}
 	if err := cs.Seal(); err != nil {
 		return err
@@ -1063,7 +1069,7 @@ func (s *Service) Search(topicName, token string, tr TimeRange) ([]int64, error)
 		return nil, err
 	}
 	start := time.Now()
-	offs := st.store.SearchRange(token, tr)
+	offs := st.store.Search(token, tr)
 	s.observeQuery(st, queryKindSearch, tr, start, len(offs))
 	return offs, nil
 }
@@ -1082,7 +1088,7 @@ func (s *Service) ByTemplate(topicName string, tr TimeRange, ids ...uint64) ([]i
 		return nil, err
 	}
 	start := time.Now()
-	offs := st.store.ByTemplateRange(tr, ids...)
+	offs := st.store.ByTemplate(tr, ids...)
 	s.observeQuery(st, queryKindTemplate, tr, start, len(offs))
 	return offs, nil
 }
