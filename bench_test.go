@@ -186,9 +186,12 @@ func BenchmarkServiceIngest(b *testing.B) {
 // atomically published snapshot and the whole batch lands in the store
 // through one group-committed AppendBatch (one store lock and one WAL
 // write per batch instead of one per record), so throughput should scale
-// with goroutines instead of flat-lining on a topic mutex. The
-// store=compacting variant runs with a real data dir so every batch also
-// pays (one) WAL encode+write — the paper's cloud-ingest configuration.
+// with goroutines instead of flat-lining on a topic mutex. Both variants
+// run the compacting store. store=mem is memory mode (no data dir, the
+// default 4 MiB block and flate codec): no WAL, but every full block
+// seals into an in-memory segment. The store=compacting variant runs
+// with a real data dir so every batch also pays (one) WAL encode+write —
+// the paper's cloud-ingest configuration.
 func BenchmarkConcurrentIngest(b *testing.B) {
 	ds, err := bytebrain.GenerateLogHub("Zookeeper", 1)
 	if err != nil {
@@ -303,7 +306,9 @@ func BenchmarkIngestAllocs(b *testing.B) {
 // mutex serves workers/shards writers, so throughput should scale with
 // shard count on a multi-core runner. One benchmark op is one RECORD (a
 // batch lands every 256 iterations), so the store holds exactly b.N
-// records.
+// records. ShardConfig{Shards: n} opens data-dir-less compacting shards:
+// no WAL, sealing at the default 4 MiB block with the zero-value
+// (uncompressed) codec.
 func BenchmarkShardedIngestBatch(b *testing.B) {
 	recs := segmentBenchRecords(b, "Zookeeper")
 	const batchSize = 256

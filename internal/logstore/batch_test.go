@@ -9,8 +9,8 @@ import (
 )
 
 // batchCase builds one store layout for the AppendBatch equivalence
-// suite. reopen rebuilds the store from its directory (nil for pure
-// in-memory layouts, which cannot recover).
+// suite. reopen rebuilds the store from its directory (false for the
+// memory-mode layout, which cannot recover).
 type batchCase struct {
 	name   string
 	open   func(t *testing.T, dir string) Store
@@ -19,7 +19,15 @@ type batchCase struct {
 
 func batchCases() []batchCase {
 	return []batchCase{
-		{"topic", func(t *testing.T, dir string) Store { return NewStore("t") }, false},
+		// Memory mode: no Dir, and a tiny threshold forces sealing into
+		// in-memory blobs mid-batch.
+		{"compacting-mem", func(t *testing.T, dir string) Store {
+			s, err := OpenCompacting("t", CompactConfig{SegmentBytes: 256, Codec: segment.CodecFlate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}, false},
 		// Hot-only: the seal threshold is never reached.
 		{"compacting-hot", func(t *testing.T, dir string) Store {
 			s, err := OpenCompacting("t", CompactConfig{Dir: dir, SegmentBytes: 1 << 30})
@@ -164,28 +172,18 @@ func TestAppendBatchEquivalence(t *testing.T) {
 					t.Fatalf("batch %d: whole-batch first offset %d, one-record batches %d", bi, got, wantFirst)
 				}
 			}
-			if c, ok := one.(Compactor); ok {
-				c.WaitIdle()
-			}
-			if c, ok := batch.(Compactor); ok {
-				c.WaitIdle()
-			}
+			one.WaitIdle()
+			batch.WaitIdle()
 			diffStores(t, "live", one, batch)
 
-			if !tc.reopen {
-				if err := one.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if err := batch.Close(); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
 			if err := one.Close(); err != nil {
 				t.Fatal(err)
 			}
 			if err := batch.Close(); err != nil {
 				t.Fatal(err)
+			}
+			if !tc.reopen {
+				return
 			}
 			one = tc.open(t, dirOne)
 			batch = tc.open(t, dirBatch)

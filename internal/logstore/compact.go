@@ -24,11 +24,10 @@ import (
 // recovers.
 var ErrDegraded = errors.New("logstore: store degraded (read-only)")
 
-// Degrader is implemented by stores that can shed writes under disk
-// pressure. Degraded reports whether the store currently rejects
-// appends and, if so, the failure that drove it there. For a sharded
-// store the bool is "fully degraded" (every shard); use ShardStats for
-// per-shard state.
+// Degrader is the write-shedding surface of every Store. Degraded
+// reports whether the store currently rejects appends and, if so, the
+// failure that drove it there. For a sharded store the bool is "fully
+// degraded" (every shard); use ShardStats for per-shard state.
 type Degrader interface {
 	Degraded() (bool, error)
 }
@@ -44,13 +43,14 @@ func isDiskFull(err error) bool {
 type CompactConfig struct {
 	// Dir, when set, persists sealed segments and a write-ahead log for
 	// the hot block there; the store recovers both after a restart.
-	// Empty keeps sealed segments as compressed in-memory blobs (still a
-	// large RAM win over raw lines).
+	// Empty is memory mode: sealed segments stay compressed in-memory
+	// blobs with no WAL, so memory stays bounded by one hot block plus
+	// the compressed history.
 	Dir string
 	// SegmentBytes seals the hot block once its raw payload reaches this
 	// size (default 4 MiB).
 	SegmentBytes int64
-	// Codec compresses sealed payloads (default flate).
+	// Codec compresses sealed payloads; the zero value is CodecNone.
 	Codec segment.Codec
 	// Opts carries the metrics bundle and WAL fsync policy.
 	Opts StoreOptions

@@ -12,10 +12,14 @@ import (
 	"bytebrain/internal/fsx"
 )
 
-// DiskInternal persists model snapshots as numbered files in a directory.
-// Write indexes only ever grow — after pruning (SetRetention), the next
-// index continues from the highest ever written, never reusing a number,
-// so a checkpoint can never be silently overwritten by a later snapshot.
+// DiskInternal is the internal topic of §3: it persists model snapshots
+// as numbered files in a directory, node metadata living beside the
+// records rather than in an external database. A topic without a data
+// directory runs it over an in-memory fsx.FaultFS with no fault hook,
+// which holds each snapshot once. Write indexes only ever grow — after
+// pruning (SetRetention), the next index continues from the highest ever
+// written, never reusing a number, so a checkpoint can never be silently
+// overwritten by a later snapshot.
 type DiskInternal struct {
 	dir    string
 	fs     fsx.FS
@@ -73,8 +77,8 @@ func OpenDiskInternalFS(fsys fsx.FS, dir string) (*DiskInternal, error) {
 	return in, nil
 }
 
-// SetRetention implements SnapshotStore: installs the policy and prunes
-// existing on-disk snapshots immediately.
+// SetRetention installs a pruning policy and prunes existing snapshots
+// immediately.
 func (in *DiskInternal) SetRetention(r Retention) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -153,11 +157,11 @@ func (in *DiskInternal) LatestSnapshot() ([]byte, error) {
 	return data, nil
 }
 
-// QuarantineLatest implements SnapshotStore: it retires the newest
-// snapshot (renaming the file to .bad on disk) so LatestSnapshot falls
-// back to the previous checkpoint — the recovery path for a snapshot
-// that no longer unmarshals. It reports ErrNoSnapshot when none is
-// retained.
+// QuarantineLatest retires the newest snapshot (renaming the file to
+// .bad) so LatestSnapshot falls back to the previous checkpoint — the
+// recovery path for a torn or corrupt snapshot that no longer
+// unmarshals, so reopening never fails unrecoverably on bad snapshot
+// bytes. It reports ErrNoSnapshot when none is retained.
 func (in *DiskInternal) QuarantineLatest() error {
 	in.mu.Lock()
 	defer in.mu.Unlock()

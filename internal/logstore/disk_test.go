@@ -37,17 +37,3 @@ func TestDiskInternalRoundTrip(t *testing.T) {
 		t.Errorf("after reopen append: %q", data)
 	}
 }
-
-func TestMemStoreImplementsStore(t *testing.T) {
-	s := NewStore("mem")
-	off, err := s.AppendBatch(ts(1), []BatchRecord{{Raw: "hello world", TemplateID: 7}})
-	if err != nil || off != 0 {
-		t.Fatalf("AppendBatch = %d, %v", off, err)
-	}
-	if s.Len() != 1 || s.Bytes() != 11 {
-		t.Errorf("Len/Bytes = %d/%d", s.Len(), s.Bytes())
-	}
-	if err := s.Close(); err != nil {
-		t.Errorf("Close = %v", err)
-	}
-}

@@ -93,8 +93,9 @@ func (tr TimeRange) Overlaps(min, max time.Time) bool {
 }
 
 // Store is the record-storage interface the service writes through:
-// memStore (an in-memory Topic), CompactingStore (the persistent and
-// sealing store) and ShardedStore (a fan-out over either) implement it.
+// CompactingStore (one topic's hot block plus sealed segments, on disk
+// or as in-memory blobs) and ShardedStore (a fan-out over compacting
+// shards) implement it.
 type Store interface {
 	// AppendBatch group-commits a batch of records, all stamped with the
 	// same timestamp, and returns the offset assigned to the first
@@ -147,23 +148,23 @@ type Store interface {
 	CountSince(cut time.Time) int
 	// Close releases resources; further appends fail.
 	Close() error
+	Compactor
+	Degrader
 }
 
-var _ Store = (*memStore)(nil)
-
-// memStore adapts Topic to the Store interface.
-type memStore struct{ *Topic }
-
-// NewStore returns an in-memory Store.
-func NewStore(name string) Store { return memStore{NewTopic(name)} }
-
-// AppendBatch implements Store.
-func (m memStore) AppendBatch(ts time.Time, recs []BatchRecord) (int64, error) {
-	return m.Topic.AppendBatch(ts, recs), nil
+// Compactor is the seal-control surface of every Store: the service
+// layer drives forced compaction and compression stats through it
+// without knowing the store topology.
+type Compactor interface {
+	// Seal marks current hot blocks for compaction.
+	Seal() error
+	// WaitIdle blocks until no block is pending compaction.
+	WaitIdle()
+	// SealError returns the most recent background seal failure, if any.
+	SealError() error
+	// SegmentStats reports compression counters.
+	SegmentStats() SegmentStats
 }
-
-// Close implements Store.
-func (m memStore) Close() error { return nil }
 
 // Topic is an append-only record log with a template index and a token
 // index. All methods are safe for concurrent use.
@@ -538,130 +539,4 @@ func (r Retention) keep(idx, nextIdx int) bool {
 		return true
 	}
 	return r.CheckpointEvery > 0 && idx%r.CheckpointEvery == 0
-}
-
-// SnapshotStore persists model snapshots — the "internal topic" of §3.
-// Internal keeps them in memory; DiskInternal on disk.
-type SnapshotStore interface {
-	// AppendSnapshot stores one serialized model.
-	AppendSnapshot(ts time.Time, data []byte) error
-	// LatestSnapshot returns the newest snapshot bytes.
-	LatestSnapshot() ([]byte, error)
-	// Snapshots returns the retained snapshot count.
-	Snapshots() int
-	// SetRetention installs a pruning policy and applies it immediately.
-	SetRetention(r Retention)
-	// QuarantineLatest retires the newest snapshot so LatestSnapshot
-	// falls back to the previous checkpoint. Recovery calls it when the
-	// newest snapshot fails to unmarshal (a torn or corrupt checkpoint),
-	// so reopening never fails unrecoverably on bad snapshot bytes.
-	// Returns ErrNoSnapshot when none is retained.
-	QuarantineLatest() error
-}
-
-var (
-	_ SnapshotStore = (*Internal)(nil)
-	_ SnapshotStore = (*DiskInternal)(nil)
-)
-
-// Internal is the in-memory internal topic holding model snapshots (§3:
-// node metadata lives "in an internal topic", avoiding external
-// databases).
-type Internal struct {
-	mu        sync.RWMutex
-	snapshots [][]byte
-	times     []time.Time
-	idxs      []int // write index of each retained snapshot, ascending
-	next      int   // write index the next snapshot gets
-	retain    Retention
-}
-
-// NewInternal creates an empty internal topic.
-func NewInternal() *Internal { return &Internal{} }
-
-// SetRetention implements SnapshotStore.
-func (in *Internal) SetRetention(r Retention) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.retain = r
-	in.pruneLocked()
-}
-
-func (in *Internal) pruneLocked() {
-	kept := 0
-	for i, idx := range in.idxs {
-		if !in.retain.keep(idx, in.next) {
-			continue
-		}
-		in.snapshots[kept] = in.snapshots[i]
-		in.times[kept] = in.times[i]
-		in.idxs[kept] = idx
-		kept++
-	}
-	for i := kept; i < len(in.snapshots); i++ {
-		in.snapshots[i] = nil
-	}
-	in.snapshots = in.snapshots[:kept]
-	in.times = in.times[:kept]
-	in.idxs = in.idxs[:kept]
-}
-
-// AppendSnapshot implements SnapshotStore.
-func (in *Internal) AppendSnapshot(ts time.Time, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.snapshots = append(in.snapshots, cp)
-	in.times = append(in.times, ts)
-	in.idxs = append(in.idxs, in.next)
-	in.next++
-	in.pruneLocked()
-	return nil
-}
-
-// LatestSnapshot implements SnapshotStore.
-func (in *Internal) LatestSnapshot() ([]byte, error) {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	if len(in.snapshots) == 0 {
-		return nil, ErrNoSnapshot
-	}
-	last := len(in.snapshots) - 1
-	cp := make([]byte, len(in.snapshots[last]))
-	copy(cp, in.snapshots[last])
-	return cp, nil
-}
-
-// QuarantineLatest implements SnapshotStore: it drops the newest
-// in-memory snapshot.
-func (in *Internal) QuarantineLatest() error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if len(in.snapshots) == 0 {
-		return ErrNoSnapshot
-	}
-	last := len(in.snapshots) - 1
-	in.snapshots[last] = nil
-	in.snapshots = in.snapshots[:last]
-	in.times = in.times[:last]
-	in.idxs = in.idxs[:last]
-	return nil
-}
-
-// LatestSnapshotTime returns when the newest snapshot was stored.
-func (in *Internal) LatestSnapshotTime() (time.Time, error) {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	if len(in.times) == 0 {
-		return time.Time{}, ErrNoSnapshot
-	}
-	return in.times[len(in.times)-1], nil
-}
-
-// Snapshots implements SnapshotStore.
-func (in *Internal) Snapshots() int {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return len(in.snapshots)
 }

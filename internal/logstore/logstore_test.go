@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bytebrain/internal/fsx"
 )
 
 func ts(sec int) time.Time { return time.Unix(int64(sec), 0) }
@@ -204,22 +206,27 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 	})
 }
 
+// memInternal opens a snapshot store the way a topic without a data
+// dir does: DiskInternal over a FaultFS with no fault hook.
+func memInternal(t *testing.T) *DiskInternal {
+	t.Helper()
+	in, err := OpenDiskInternalFS(fsx.NewFaultFS(), "models")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
 func TestInternalSnapshots(t *testing.T) {
-	in := NewInternal()
+	in := memInternal(t)
 	if _, err := in.LatestSnapshot(); err != ErrNoSnapshot {
 		t.Fatalf("LatestSnapshot on empty = %v", err)
-	}
-	if _, err := in.LatestSnapshotTime(); err != ErrNoSnapshot {
-		t.Fatalf("LatestSnapshotTime on empty = %v", err)
 	}
 	_ = in.AppendSnapshot(ts(1), []byte("v1"))
 	_ = in.AppendSnapshot(ts(2), []byte("v2"))
 	data, err := in.LatestSnapshot()
 	if err != nil || string(data) != "v2" {
 		t.Fatalf("LatestSnapshot = %q %v", data, err)
-	}
-	if at, err := in.LatestSnapshotTime(); err != nil || !at.Equal(ts(2)) {
-		t.Fatalf("LatestSnapshotTime = %v %v", at, err)
 	}
 	if in.Snapshots() != 2 {
 		t.Errorf("Snapshots = %d", in.Snapshots())

@@ -1,7 +1,6 @@
 package logstore
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -35,20 +34,18 @@ type ShardConfig struct {
 	Shards int
 	// Dir, when set, persists each shard under Dir/shard-<i>.
 	Dir string
-	// SegmentBytes is the raw size at which each shard seals a block.
-	// With Dir set or SegmentBytes > 0 every shard is a CompactingStore
-	// (SegmentBytes 0 takes its default); otherwise shards are in-memory
-	// topics. See OpenStore.
+	// SegmentBytes is the raw size at which each shard seals a block; 0
+	// takes the CompactingStore default.
 	SegmentBytes int64
-	// Codec compresses sealed payloads (segment store only).
+	// Codec compresses sealed payloads.
 	Codec segment.Codec
 	// Opts carries the metrics bundle and WAL fsync policy, shared by
 	// every shard (their counters aggregate into one topic's totals).
 	Opts StoreOptions
 }
 
-// ShardedStore fans one topic out over N sub-stores so appends scale
-// with cores: each ingestion queue pins its batches to one shard
+// ShardedStore fans one topic out over N compacting stores so appends
+// scale with cores: each ingestion queue pins its batches to one shard
 // (AppendShardBatch) and never contends on another shard's store mutex,
 // while plain AppendBatch round-robins. Offsets are namespaced
 // shard<<48|local; reads route by the high bits and grouped queries
@@ -59,7 +56,7 @@ type ShardConfig struct {
 type ShardedStore struct {
 	name   string
 	m      *Metrics // never nil; per-shard append counters
-	shards []Store
+	shards []*CompactingStore
 	next   atomic.Uint64 // round-robin cursor for un-pinned records
 }
 
@@ -79,7 +76,7 @@ func OpenSharded(name string, cfg ShardConfig) (*ShardedStore, error) {
 			return nil, err
 		}
 	}
-	s := &ShardedStore{name: name, m: cfg.Opts.Metrics, shards: make([]Store, cfg.Shards)}
+	s := &ShardedStore{name: name, m: cfg.Opts.Metrics, shards: make([]*CompactingStore, cfg.Shards)}
 	for i := range s.shards {
 		sub, err := openShard(name, i, cfg)
 		if err != nil {
@@ -129,57 +126,22 @@ func shardDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%03d", shardDirPrefix, i))
 }
 
-// OpenStore builds one store of the kind the knobs select: a compacting
-// segment store when dir is set or segmentBytes > 0 (persistent when dir
-// is set; segmentBytes 0 takes the CompactConfig default), an in-memory
-// topic otherwise. It is the single store-selection point shared by the
-// service layer (one store per topic) and ShardedStore (one store per
-// shard).
-func OpenStore(name, dir string, segmentBytes int64, codec segment.Codec, opts ...StoreOptions) (Store, error) {
-	if dir == "" && segmentBytes <= 0 {
-		return NewStore(name), nil
-	}
-	var o StoreOptions
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	return OpenCompacting(name, CompactConfig{Dir: dir, SegmentBytes: segmentBytes, Codec: codec, Opts: o})
-}
-
-// Seals reports whether st compacts records into sealed segments: a
-// CompactingStore, or a ShardedStore over them. ShardedStore implements
-// Compactor over in-memory shards too, so a Compactor assertion alone
-// does not tell.
-func Seals(st Store) bool {
-	switch s := st.(type) {
-	case *CompactingStore:
-		return true
-	case *ShardedStore:
-		return Seals(s.shards[0])
-	}
-	return false
-}
-
-// openShard builds one sub-store.
-func openShard(name string, i int, cfg ShardConfig) (Store, error) {
+// openShard opens one compacting sub-store, persisted under
+// Dir/shard-<i> when Dir is set.
+func openShard(name string, i int, cfg ShardConfig) (*CompactingStore, error) {
 	dir := ""
 	if cfg.Dir != "" {
 		dir = shardDir(cfg.Dir, i)
 	}
-	return OpenStore(name, dir, cfg.SegmentBytes, cfg.Codec, cfg.Opts)
+	return OpenCompacting(name, CompactConfig{Dir: dir, SegmentBytes: cfg.SegmentBytes, Codec: cfg.Codec, Opts: cfg.Opts})
 }
 
 // Shards returns the shard count.
 func (s *ShardedStore) Shards() int { return len(s.shards) }
 
 // shardDegraded reports whether shard i has degraded to read-only.
-// Shards without a degrade concept (plain topics) never degrade.
 func (s *ShardedStore) shardDegraded(i int) bool {
-	d, ok := s.shards[i].(Degrader)
-	if !ok {
-		return false
-	}
-	deg, _ := d.Degraded()
+	deg, _ := s.shards[i].Degraded()
 	return deg
 }
 
@@ -463,61 +425,28 @@ func (s *ShardedStore) Close() error {
 	return firstErr
 }
 
-// Compactor is the seal-control surface of stores with a background
-// compactor: CompactingStore, and ShardedStore fanning out to compacting
-// shards. The service layer drives forced compaction and compression
-// stats through it without knowing the store topology.
-type Compactor interface {
-	// Seal marks current hot blocks for compaction.
-	Seal() error
-	// WaitIdle blocks until no block is pending compaction.
-	WaitIdle()
-	// SealError returns the most recent background seal failure, if any.
-	SealError() error
-	// SegmentStats reports compression counters.
-	SegmentStats() SegmentStats
-}
-
-var (
-	_ Compactor = (*CompactingStore)(nil)
-	_ Compactor = (*ShardedStore)(nil)
-)
-
-// Seal fans the forced-compaction request out to every compacting shard.
+// Seal fans the forced-compaction request out to every shard.
 func (s *ShardedStore) Seal() error {
-	sealed := false
 	for _, sub := range s.shards {
-		cs, ok := sub.(Compactor)
-		if !ok {
-			continue
-		}
-		sealed = true
-		if err := cs.Seal(); err != nil {
+		if err := sub.Seal(); err != nil {
 			return err
 		}
-	}
-	if !sealed {
-		return errors.New("logstore: sharded topic has no segment store (set SegmentBytes or Dir)")
 	}
 	return nil
 }
 
-// WaitIdle blocks until every compacting shard's sealer drains.
+// WaitIdle blocks until every shard's sealer drains.
 func (s *ShardedStore) WaitIdle() {
 	for _, sub := range s.shards {
-		if cs, ok := sub.(Compactor); ok {
-			cs.WaitIdle()
-		}
+		sub.WaitIdle()
 	}
 }
 
 // SealError returns the first shard's pending seal failure, if any.
 func (s *ShardedStore) SealError() error {
 	for _, sub := range s.shards {
-		if cs, ok := sub.(Compactor); ok {
-			if err := cs.SealError(); err != nil {
-				return err
-			}
+		if err := sub.SealError(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -527,11 +456,7 @@ func (s *ShardedStore) SealError() error {
 func (s *ShardedStore) SegmentStats() SegmentStats {
 	var out SegmentStats
 	for _, sub := range s.shards {
-		cs, ok := sub.(Compactor)
-		if !ok {
-			continue
-		}
-		st := cs.SegmentStats()
+		st := sub.SegmentStats()
 		out.Segments += st.Segments
 		out.SealedRecords += st.SealedRecords
 		out.HotRecords += st.HotRecords
@@ -543,8 +468,6 @@ func (s *ShardedStore) SegmentStats() SegmentStats {
 	return out
 }
 
-var _ Degrader = (*ShardedStore)(nil)
-
 // Degraded implements Degrader: the sharded store is degraded only when
 // EVERY shard has degraded — while any healthy shard remains, un-pinned
 // appends route around the sick ones and ingest stays available. The
@@ -554,11 +477,7 @@ func (s *ShardedStore) Degraded() (bool, error) {
 	var firstErr error
 	deg := 0
 	for i, sub := range s.shards {
-		d, ok := sub.(Degrader)
-		if !ok {
-			return false, nil // a plain topic shard never degrades
-		}
-		if isDeg, err := d.Degraded(); isDeg {
+		if isDeg, err := sub.Degraded(); isDeg {
 			deg++
 			if firstErr == nil {
 				firstErr = fmt.Errorf("shard %03d: %w", i, err)
@@ -582,13 +501,11 @@ func (s *ShardedStore) DegradedShards() int {
 	return n
 }
 
-// Flush forces buffered WAL bytes to the OS on every compacting shard.
+// Flush forces buffered WAL bytes to the OS on every shard.
 func (s *ShardedStore) Flush() error {
 	for _, sub := range s.shards {
-		if cs, ok := sub.(*CompactingStore); ok {
-			if err := cs.Flush(); err != nil {
-				return err
-			}
+		if err := sub.Flush(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -602,7 +519,7 @@ type ShardStat struct {
 	// Records and Bytes count the shard's stored records and raw payload.
 	Records int
 	Bytes   int64
-	// Segment-store counters, zero for non-compacting shards.
+	// Segment-store counters.
 	Segments        int   `json:",omitempty"`
 	SealedRecords   int   `json:",omitempty"`
 	HotRecords      int   `json:",omitempty"`
@@ -617,16 +534,17 @@ type ShardStat struct {
 func (s *ShardedStore) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(s.shards))
 	for i, sub := range s.shards {
-		st := ShardStat{Shard: i, Records: sub.Len(), Bytes: sub.Bytes()}
-		st.Degraded = s.shardDegraded(i)
-		if cs, ok := sub.(Compactor); ok {
-			sst := cs.SegmentStats()
-			st.Segments = sst.Segments
-			st.SealedRecords = sst.SealedRecords
-			st.HotRecords = sst.HotRecords
-			st.CompressedBytes = sst.CompressedBytes
+		sst := sub.SegmentStats()
+		out[i] = ShardStat{
+			Shard:           i,
+			Records:         sub.Len(),
+			Bytes:           sub.Bytes(),
+			Segments:        sst.Segments,
+			SealedRecords:   sst.SealedRecords,
+			HotRecords:      sst.HotRecords,
+			CompressedBytes: sst.CompressedBytes,
+			Degraded:        s.shardDegraded(i),
 		}
-		out[i] = st
 	}
 	return out
 }

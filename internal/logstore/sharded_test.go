@@ -12,7 +12,7 @@ import (
 
 func shardedConfigs(t *testing.T) map[string]ShardConfig {
 	return map[string]ShardConfig{
-		"memory":     {Shards: 4},
+		"memory":     {Shards: 4},                   // no Dir: compacting shards sealing into in-memory blobs
 		"disk":       {Shards: 4, Dir: t.TempDir()}, // a data dir alone: compacting shards at the default block size
 		"compacting": {Shards: 4, Dir: t.TempDir(), SegmentBytes: 2048, Codec: segment.CodecFlate},
 	}
@@ -176,15 +176,6 @@ func TestShardedCompactionFanOut(t *testing.T) {
 		if sh.Segments != 1 || sh.SealedRecords != 100 {
 			t.Fatalf("ShardStats = %+v", sh)
 		}
-	}
-	// Sealing a shard-of-plain-topics store reports the absence loudly.
-	mem, err := OpenSharded("m", ShardConfig{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-	if err := mem.Seal(); err == nil || !strings.Contains(err.Error(), "no segment store") {
-		t.Fatalf("Seal on plain shards = %v", err)
 	}
 }
 

@@ -469,15 +469,13 @@ func TestSnapshotRetentionBoundsStorage(t *testing.T) {
 			name = "disk"
 		}
 		t.Run(name, func(t *testing.T) {
-			var in SnapshotStore
+			in := memInternal(t)
 			if disk {
 				d, err := OpenDiskInternal(t.TempDir())
 				if err != nil {
 					t.Fatal(err)
 				}
 				in = d
-			} else {
-				in = NewInternal()
 			}
 			in.SetRetention(Retention{Latest: 3})
 			for i := 0; i < 100; i++ {
@@ -502,7 +500,7 @@ func TestSnapshotRetentionBoundsStorage(t *testing.T) {
 // TestSnapshotRetentionCheckpoints: periodic checkpoints survive pruning,
 // so storage after n cycles is O(K + n/CheckpointEvery), not O(n).
 func TestSnapshotRetentionCheckpoints(t *testing.T) {
-	in := NewInternal()
+	in := memInternal(t)
 	in.SetRetention(Retention{Latest: 2, CheckpointEvery: 10})
 	for i := 0; i < 50; i++ {
 		if err := in.AppendSnapshot(ts(i), []byte(fmt.Sprintf("m%d", i))); err != nil {

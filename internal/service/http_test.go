@@ -122,13 +122,15 @@ func TestHTTPMissingTopic(t *testing.T) {
 	}
 }
 
-// TestHTTPCompactRoute covers the segment-store compaction endpoint,
-// including the 400 when the topic has no segment store.
+// TestHTTPCompactRoute covers the segment-store compaction endpoint on
+// the default memory-mode topic and on one with an explicit block size.
 func TestHTTPCompactRoute(t *testing.T) {
-	// Fixture service has no segment store configured.
 	srv := newHTTPFixture(t)
-	if resp := do(t, srv, "POST", "/topics/app/compact", ""); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("compact without segment store = %d, want 400", resp.StatusCode)
+	if resp := do(t, srv, "POST", "/topics/app/compact", ""); resp.StatusCode != http.StatusNoContent {
+		t.Errorf("compact on the default store = %d, want 204", resp.StatusCode)
+	}
+	if resp := do(t, srv, "POST", "/topics/ghost/compact", ""); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("compact on unknown topic = %d, want 404", resp.StatusCode)
 	}
 
 	cfg := testConfig()

@@ -1,7 +1,10 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -134,17 +137,66 @@ func TestServiceSegmentStorePersistence(t *testing.T) {
 	}
 }
 
-func TestCompactRequiresSegmentStore(t *testing.T) {
+// TestDefaultConfigSealsBounded: a Config{} topic (no data dir, default
+// block size and codec) runs on the compacting store, seals full blocks
+// with flate into in-memory segments, and keeps fewer than one block's
+// records hot, so memory stays bounded by the block size. /stats and
+// /metrics report the segment counters.
+func TestDefaultConfigSealsBounded(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
-	if err := svc.CreateTopic("plain"); err != nil {
+	if err := svc.CreateTopic("app"); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Compact("plain"); err == nil {
-		t.Fatal("Compact on a non-segment topic should fail")
+	store, err := svc.Store("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := store.(*logstore.CompactingStore); !ok {
+		t.Fatalf("default store is %T, want *logstore.CompactingStore", store)
+	}
+	// More than two default 4 MiB blocks of raw lines.
+	const blockBytes = 4 << 20
+	var raw int64
+	for start := 0; raw <= 2*blockBytes+blockBytes/2; start += 5000 {
+		lines := make([]string, 5000)
+		for i := range lines {
+			n := start + i
+			lines[i] = fmt.Sprintf("session %d opened for user u%d from 10.0.0.%d agent curl/8.%d request req-%08d", n, n%40, n%250, n%9, n)
+			raw += int64(len(lines[i]))
+		}
+		if err := svc.Ingest("app", lines); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.WaitIdle()
+	sst := store.SegmentStats()
+	if sst.Segments < 2 || sst.Codec != "flate" {
+		t.Fatalf("SegmentStats = %+v, want >= 2 flate segments", sst)
+	}
+	if perBlock := sst.SealedRecords / sst.Segments; sst.HotRecords >= perBlock {
+		t.Fatalf("%d hot records, want fewer than one block's %d", sst.HotRecords, perBlock)
+	}
+	if err := svc.Compact("app"); err != nil {
+		t.Fatalf("Compact on a default topic: %v", err)
 	}
 	if err := svc.Compact("ghost"); err == nil {
 		t.Fatal("Compact on unknown topic should fail")
+	}
+
+	h := svc.Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/topics/app/stats", nil))
+	var stats Stats
+	if err := json.NewDecoder(rec.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Segments < 3 || stats.SegmentCodec != "flate" || stats.SegmentRecords != stats.Records || stats.SegmentRatio <= 0 {
+		t.Fatalf("/stats after Compact: %+v", stats)
+	}
+	_, vals := scrape(t, h)
+	if got := vals[`bb_topic_segments{topic="app"}`]; got != float64(stats.Segments) {
+		t.Fatalf("bb_topic_segments = %v, want %d", got, stats.Segments)
 	}
 }
 
@@ -154,7 +206,22 @@ func TestBadSegmentCodecRejected(t *testing.T) {
 	if err := svc.CreateTopic("app"); err == nil {
 		t.Fatal("zstd is not a codec and must be rejected")
 	}
-	// A data dir alone seals too, so it validates the codec as well.
+	// Every topic seals, so a memory-mode topic validates the codec too.
+	svcMem := New(Config{SegmentCodec: "zstd"})
+	defer svcMem.Close()
+	if err := svcMem.CreateTopic("app"); err == nil {
+		t.Fatal("a memory-mode topic must reject an unknown codec")
+	}
+	// The default codec is flate whatever the other knobs.
+	svcDefault := New(Config{})
+	defer svcDefault.Close()
+	if err := svcDefault.CreateTopic("app"); err != nil {
+		t.Fatal(err)
+	}
+	if stats, err := svcDefault.TopicStats("app"); err != nil || stats.SegmentCodec != "flate" {
+		t.Fatalf("Config{} topic codec = %q, %v; want flate", stats.SegmentCodec, err)
+	}
+	// A data dir alone validates the codec as well.
 	svcDir := New(Config{DataDir: t.TempDir(), SegmentCodec: "zstd"})
 	defer svcDir.Close()
 	if err := svcDir.CreateTopic("app"); err == nil {

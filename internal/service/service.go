@@ -54,23 +54,21 @@ type Config struct {
 	// specify one (default 0.7).
 	DefaultThreshold float64
 	// DataDir, when set, persists every topic to disk under
-	// DataDir/<topic> in the template-aware compacting segment store
-	// (a write-ahead log for the hot block, sealed segments, model
-	// snapshots); topics recover on restart. Empty keeps everything in
-	// memory.
+	// DataDir/<topic> (a write-ahead log for the hot block, sealed
+	// segments, model snapshots); topics recover on restart. Empty runs
+	// the same compacting segment store in memory: sealed segments stay
+	// compressed blobs, there is no WAL, and model snapshots live in an
+	// in-memory filesystem.
 	DataDir string
-	// SegmentBytes is the raw block size at which the compacting segment
-	// store seals: hot writes stay in memory (and in the WAL with
-	// DataDir) and a background compactor seals blocks of this raw size
-	// into compressed columnar segments. Grouped queries push template
-	// IDs down to segment metadata and skip non-matching blocks
-	// entirely. With DataDir set, 0 takes the store's 4 MiB default;
-	// without DataDir, > 0 keeps sealed segments as in-memory blobs and
-	// 0 keeps plain in-memory topics that never seal.
+	// SegmentBytes is the raw block size at which every topic's
+	// compacting segment store seals: hot writes stay in memory (and in
+	// the WAL with DataDir) and a background compactor seals blocks of
+	// this raw size into compressed columnar segments. Grouped queries
+	// push template IDs down to segment metadata and skip non-matching
+	// blocks entirely. 0 takes the store's 4 MiB default.
 	SegmentBytes int64
 	// SegmentCodec selects the sealed-payload compression: "flate"
-	// (default) or "none". It is validated whenever the store seals
-	// (DataDir set or SegmentBytes > 0).
+	// (default) or "none". CreateTopic rejects any other value.
 	SegmentCodec string
 	// SnapshotRetain > 0 bounds the internal topic: only the newest
 	// SnapshotRetain model snapshots are kept per topic (plus periodic
@@ -81,7 +79,7 @@ type Config struct {
 	// sparse training history. 0 keeps nothing beyond the latest K.
 	SnapshotCheckpointEvery int
 	// TopicShards > 1 fans every topic's store out over this many
-	// sub-stores (each the kind the knobs above select, persisted under
+	// compacting sub-stores (persisted under
 	// DataDir/<topic>/records/shard-<i>) with queue→shard append
 	// affinity, so one topic's appends scale with cores instead of
 	// serializing on a single store mutex. Offsets are namespaced
@@ -293,7 +291,7 @@ type topicState struct {
 	name     string
 	parser   *core.Parser
 	store    logstore.Store
-	internal logstore.SnapshotStore
+	internal *logstore.DiskInternal
 	met      *topicMetrics // resolved once at create; never nil
 	cacheCap int64
 
@@ -380,16 +378,18 @@ func (s *Service) CreateTopic(name string) error {
 		return err
 	}
 	st.store = store
+	modelFS, modelDir := s.cfg.FS, filepath.Join(s.cfg.DataDir, name, "models")
 	if s.cfg.DataDir == "" {
-		st.internal = logstore.NewInternal()
-	} else {
-		internal, err := logstore.OpenDiskInternalFS(s.cfg.FS, filepath.Join(s.cfg.DataDir, name, "models"))
-		if err != nil {
-			store.Close()
-			return err
-		}
-		st.internal = internal
+		// Memory mode: the internal topic runs over an in-memory
+		// filesystem that injects no faults.
+		modelFS, modelDir = fsx.NewFaultFS(), "models"
 	}
+	internal, err := logstore.OpenDiskInternalFS(modelFS, modelDir)
+	if err != nil {
+		store.Close()
+		return err
+	}
+	st.internal = internal
 	if s.cfg.SnapshotRetain > 0 {
 		// Bound the internal topic: keep the newest K snapshots plus
 		// periodic checkpoints instead of every training cycle's model.
@@ -398,11 +398,9 @@ func (s *Service) CreateTopic(name string) error {
 			CheckpointEvery: s.cfg.SnapshotCheckpointEvery,
 		})
 	}
-	if s.cfg.DataDir != "" || s.cfg.SegmentBytes > 0 {
-		if err := st.recover(); err != nil {
-			store.Close()
-			return err
-		}
+	if err := st.recover(); err != nil {
+		store.Close()
+		return err
 	}
 	st.wg.Add(1)
 	go s.trainLoop(st)
@@ -411,23 +409,18 @@ func (s *Service) CreateTopic(name string) error {
 	return nil
 }
 
-// openTopicStore builds one topic's record store from the config knobs:
-// sharded when TopicShards > 1 (each shard the kind the remaining knobs
-// select), compacting-segment when DataDir is set or SegmentBytes > 0,
-// in-memory otherwise (see logstore.OpenStore). Persistent stores
-// recover existing on-disk state.
+// openTopicStore builds one topic's compacting record store from the
+// config knobs, sharded when TopicShards > 1, persisted under
+// DataDir/<topic>/records when DataDir is set. Persistent stores recover
+// existing on-disk state.
 func (s *Service) openTopicStore(name string, lm *logstore.Metrics) (logstore.Store, error) {
 	dir := ""
 	if s.cfg.DataDir != "" {
 		dir = filepath.Join(s.cfg.DataDir, name, "records")
 	}
-	var codec segment.Codec
-	if dir != "" || s.cfg.SegmentBytes > 0 {
-		c, err := segment.ParseCodec(s.cfg.SegmentCodec)
-		if err != nil {
-			return nil, fmt.Errorf("service: topic %q: %w", name, err)
-		}
-		codec = c
+	codec, err := segment.ParseCodec(s.cfg.SegmentCodec)
+	if err != nil {
+		return nil, fmt.Errorf("service: topic %q: %w", name, err)
 	}
 	opts := logstore.StoreOptions{
 		Metrics:           lm,
@@ -448,7 +441,12 @@ func (s *Service) openTopicStore(name string, lm *logstore.Metrics) (logstore.St
 			Opts:         opts,
 		})
 	}
-	return logstore.OpenStore(name, dir, s.cfg.SegmentBytes, codec, opts)
+	return logstore.OpenCompacting(name, logstore.CompactConfig{
+		Dir:          dir,
+		SegmentBytes: s.cfg.SegmentBytes,
+		Codec:        codec,
+		Opts:         opts,
+	})
 }
 
 // recover reloads the latest persisted model after a restart and
@@ -739,7 +737,7 @@ type Stats struct {
 	// Query telemetry rollups (details per kind live in /metrics).
 	Queries     int64 `json:",omitempty"`
 	SlowQueries int64 `json:",omitempty"`
-	// WAL telemetry rollups, zero for in-memory topics.
+	// WAL telemetry rollups, zero for topics without a data dir.
 	WALFsyncs          int64 `json:",omitempty"`
 	WALPoisonRotations int64 `json:",omitempty"`
 	// Degraded-mode state: Degraded is true while the topic's store has
@@ -752,8 +750,7 @@ type Stats struct {
 	DegradedReason string `json:",omitempty"`
 	DegradedShards int    `json:",omitempty"`
 	SealRetries    int64  `json:",omitempty"`
-	// Segment-store compression counters, zero unless the topic's store
-	// seals (Config.DataDir or Config.SegmentBytes set).
+	// Segment-store compression counters.
 	Segments               int     `json:",omitempty"`
 	SegmentRecords         int     `json:",omitempty"`
 	SegmentRawBytes        int64   `json:",omitempty"`
@@ -808,24 +805,20 @@ func (s *Service) TopicStats(topicName string) (Stats, error) {
 		stats.SegmentBlocksPruned = met.store.BlocksPruned.Value()
 		stats.SealRetries = met.store.SealRetries.Value()
 	}
-	if d, ok := st.store.(logstore.Degrader); ok {
-		if deg, cause := d.Degraded(); deg {
-			stats.Degraded = true
-			if cause != nil {
-				stats.DegradedReason = cause.Error()
-			}
+	if deg, cause := st.store.Degraded(); deg {
+		stats.Degraded = true
+		if cause != nil {
+			stats.DegradedReason = cause.Error()
 		}
 	}
-	if cs, ok := st.store.(logstore.Compactor); ok && logstore.Seals(st.store) {
-		sst := cs.SegmentStats()
-		stats.Segments = sst.Segments
-		stats.SegmentRecords = sst.SealedRecords
-		stats.SegmentRawBytes = sst.RawBytes
-		stats.SegmentCompressedBytes = sst.CompressedBytes
-		stats.SegmentRatio = sst.Ratio()
-		stats.SegmentBlockReads = sst.BlockReads
-		stats.SegmentCodec = sst.Codec
-	}
+	sst := st.store.SegmentStats()
+	stats.Segments = sst.Segments
+	stats.SegmentRecords = sst.SealedRecords
+	stats.SegmentRawBytes = sst.RawBytes
+	stats.SegmentCompressedBytes = sst.CompressedBytes
+	stats.SegmentRatio = sst.Ratio()
+	stats.SegmentBlockReads = sst.BlockReads
+	stats.SegmentCodec = sst.Codec
 	if sh, ok := st.store.(*logstore.ShardedStore); ok {
 		stats.TopicShards = sh.Shards()
 		stats.Shards = sh.ShardStats()
@@ -842,11 +835,7 @@ func (s *Service) DegradedTopics() map[string]string {
 	defer s.mu.RUnlock()
 	var out map[string]string
 	for name, st := range s.topics {
-		d, ok := st.store.(logstore.Degrader)
-		if !ok {
-			continue
-		}
-		deg, cause := d.Degraded()
+		deg, cause := st.store.Degraded()
 		if !deg {
 			continue
 		}
@@ -863,23 +852,17 @@ func (s *Service) DegradedTopics() map[string]string {
 }
 
 // Compact forces the topic's current hot block to seal into a compressed
-// segment and waits for the compactor to drain. It errors when the topic
-// does not use the segment store (neither Config.DataDir nor
-// Config.SegmentBytes set).
+// segment and waits for the compactor to drain.
 func (s *Service) Compact(topicName string) error {
 	st, err := s.topic(topicName)
 	if err != nil {
 		return err
 	}
-	cs, ok := st.store.(logstore.Compactor)
-	if !ok || !logstore.Seals(st.store) {
-		return fmt.Errorf("service: topic %q has no segment store (set DataDir or SegmentBytes)", topicName)
-	}
-	if err := cs.Seal(); err != nil {
+	if err := st.store.Seal(); err != nil {
 		return err
 	}
-	cs.WaitIdle()
-	return cs.SealError()
+	st.store.WaitIdle()
+	return st.store.SealError()
 }
 
 // TemplateRow is one line of a grouped query result.
